@@ -1,6 +1,7 @@
 #include "src/feature/feature_gen.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
 
@@ -50,44 +51,124 @@ std::vector<size_t> ReferencedRows(const std::vector<LabeledPair>& pairs,
   return rows;
 }
 
+/// Rows per prepare task: a few µs of PrepareValue work, fine enough that
+/// the longest column does not leave the other threads idle.
+constexpr size_t kPrepareBlockRows = 16;
+
 /// Both sides' prepared columns: every column pair some def touches,
 /// tokenized once per referenced record with exactly the representations
 /// the measures on that pair need. Built pairwise (not per side) because
 /// the interned-token fast path needs one TokenInterner spanning both
 /// sides of a column pair — ids from separate interners would not be
-/// comparable (DESIGN.md §17). The a-side interns first, then the b-side
-/// extends the same universe; the interners are dropped here once the ids
-/// are baked into the PreparedValues.
+/// comparable (DESIGN.md §17).
+///
+/// Build opens one pool region for both phases, so a small table pays one
+/// hand-off instead of one or more per column. Its tasks are fixed row
+/// blocks of every (column pair, side), each running PrepareRange; the
+/// task that finishes a column pair's last block then interns that pair
+/// with its own interners: a-side then b-side, each in row order. Column
+/// pairs that intern are scheduled first so their interning overlaps the
+/// remaining prepare blocks. The interners are dropped once the ids are
+/// baked into the values.
 class PreparedPair {
  public:
   void Build(const Table& a, const Table& b,
              const std::vector<ResolvedDef>& defs,
              const std::vector<LabeledPair>& pairs) {
-    std::map<std::pair<size_t, size_t>, PreparedNeeds> needs;
+    std::map<std::pair<size_t, size_t>, size_t> column_index;
+    def_column_.reserve(defs.size());
     for (const auto& def : defs) {
-      needs[{def.col_a, def.col_b}].MergeFrom(NeedsForMeasure(def.measure));
+      auto [it, inserted] =
+          column_index.try_emplace({def.col_a, def.col_b}, columns_.size());
+      if (inserted) {
+        columns_.emplace_back();
+        columns_.back().col_a = def.col_a;
+        columns_.back().col_b = def.col_b;
+      }
+      columns_[it->second].needs.MergeFrom(NeedsForMeasure(def.measure));
+      def_column_.push_back(it->second);
     }
-    std::vector<size_t> rows_a = ReferencedRows(pairs, /*left_side=*/true);
-    std::vector<size_t> rows_b = ReferencedRows(pairs, /*left_side=*/false);
-    for (const auto& [cols, pair_needs] : needs) {
-      ColumnInterners interners;
-      columns_a_[cols.first].BuildRows(a, cols.first, rows_a, pair_needs,
-                                       &interners);
-      columns_b_[cols.second].BuildRows(b, cols.second, rows_b, pair_needs,
-                                        &interners);
+    const std::vector<size_t> rows_a =
+        ReferencedRows(pairs, /*left_side=*/true);
+    const std::vector<size_t> rows_b =
+        ReferencedRows(pairs, /*left_side=*/false);
+
+    struct Block {
+      size_t column;
+      bool side_a;
+      size_t begin;
+      size_t end;
+    };
+    std::vector<Block> blocks;
+    std::vector<std::atomic<size_t>> blocks_left(columns_.size());
+    auto add_blocks = [&](size_t column) {
+      const size_t first = blocks.size();
+      for (bool side_a : {true, false}) {
+        const size_t n = side_a ? rows_a.size() : rows_b.size();
+        for (size_t begin = 0; begin < n; begin += kPrepareBlockRows) {
+          blocks.push_back(
+              {column, side_a, begin, std::min(n, begin + kPrepareBlockRows)});
+        }
+      }
+      blocks_left[column].store(blocks.size() - first,
+                                std::memory_order_relaxed);
+    };
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      columns_[c].a.Reset(a.num_rows());
+      columns_[c].b.Reset(b.num_rows());
+      columns_[c].interned = InterningEnabled(columns_[c].needs);
+      if (columns_[c].interned) add_blocks(c);
     }
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (!columns_[c].interned) add_blocks(c);
+    }
+
+    GlobalThreadPool().ParallelFor(
+        blocks.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            const Block& blk = blocks[i];
+            ColumnPair& c = columns_[blk.column];
+            if (blk.side_a) {
+              c.a.PrepareRange(a, c.col_a, rows_a, blk.begin, blk.end,
+                               c.needs);
+            } else {
+              c.b.PrepareRange(b, c.col_b, rows_b, blk.begin, blk.end,
+                               c.needs);
+            }
+            // acq_rel: the last block's task sees every other block's
+            // values before it interns them.
+            if (blocks_left[blk.column].fetch_sub(
+                    1, std::memory_order_acq_rel) == 1 &&
+                c.interned) {
+              ColumnInterners interners;
+              c.a.InternRows(rows_a, c.needs, &interners);
+              c.b.InternRows(rows_b, c.needs, &interners);
+            }
+          }
+        });
   }
 
-  const PreparedValue& GetA(size_t col, size_t row) const {
-    return columns_a_.at(col).Get(row);
+  /// The prepared cells def `def` (an index into the defs passed to
+  /// Build) compares.
+  const PreparedValue& GetA(size_t def, size_t row) const {
+    return columns_[def_column_[def]].a.Get(row);
   }
-  const PreparedValue& GetB(size_t col, size_t row) const {
-    return columns_b_.at(col).Get(row);
+  const PreparedValue& GetB(size_t def, size_t row) const {
+    return columns_[def_column_[def]].b.Get(row);
   }
 
  private:
-  std::map<size_t, PreparedColumn> columns_a_;
-  std::map<size_t, PreparedColumn> columns_b_;
+  struct ColumnPair {
+    size_t col_a = 0;
+    size_t col_b = 0;
+    PreparedNeeds needs;
+    bool interned = false;  // InterningEnabled(needs)
+    PreparedColumn a;
+    PreparedColumn b;
+  };
+
+  std::vector<ColumnPair> columns_;  // in first-def order
+  std::vector<size_t> def_column_;   // def index -> columns_ index
 };
 
 }  // namespace
@@ -200,6 +281,8 @@ Result<FeatureTable> BuildFeatureTable(const std::vector<FeatureDef>& defs,
   double seconds = 0.0;
   Result<FeatureTable> result = [&]() -> Result<FeatureTable> {
     Span span("fairem.feature.build_table", &seconds);
+    // The workers wake while the defs resolve and the columns are sized.
+    GlobalThreadPool().Prewake();
     span.AddArg("pairs", std::to_string(pairs.size()));
     span.AddArg("defs", std::to_string(defs.size()));
     static Counter* rows_counter =
@@ -231,15 +314,15 @@ Result<FeatureTable> BuildFeatureTable(const std::vector<FeatureDef>& defs,
             const LabeledPair& p = pairs[i];
             std::vector<double> row;
             row.reserve(resolved.size());
-            for (const auto& def : resolved) {
-              const PreparedValue& va = prepared.GetA(def.col_a, p.left);
-              const PreparedValue& vb = prepared.GetB(def.col_b, p.right);
+            for (size_t d = 0; d < resolved.size(); ++d) {
+              const PreparedValue& va = prepared.GetA(d, p.left);
+              const PreparedValue& vb = prepared.GetB(d, p.right);
               if (va.is_null || vb.is_null) {
                 row.push_back(0.0);
                 continue;
               }
               cache_hits += 2;
-              row.push_back(ComputeSimilarity(def.measure, va, vb));
+              row.push_back(ComputeSimilarity(resolved[d].measure, va, vb));
             }
             for (size_t f = 0; f < row.size(); ++f) {
               if (!std::isfinite(row[f])) {

@@ -8,6 +8,13 @@
 #include "src/text/kernel_scratch.h"
 #include "src/text/simd.h"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+
+#include <cstring>
+#define FAIREM_EDIT_X86 1
+#endif
+
 namespace fairem {
 namespace {
 
@@ -32,38 +39,93 @@ void TrimCommonAffixes(std::string_view* a, std::string_view* b) {
   b->remove_suffix(suffix);
 }
 
-/// Myers' bit-parallel edit distance for patterns of <= 64 characters
-/// (Myers 1999): the DP column lives in two machine words of vertical
+/// Myers' bit-parallel edit distance (Myers 1999) for one pattern of
+/// <= 64 characters: the DP column lives in two machine words of vertical
 /// deltas (Pv = +1 positions, Mv = -1 positions) and each text character
-/// costs a handful of word ops instead of |pattern| cell updates.
+/// costs a handful of word ops instead of |pattern| cell updates. Step()
+/// consumes one text character given its pattern match mask `eq`.
+class MyersWord {
+ public:
+  explicit MyersWord(int m) : score_(m), last_(uint64_t{1} << (m - 1)) {}
+
+  void Step(uint64_t eq) {
+    const uint64_t xv = eq | mv_;
+    const uint64_t xh = (((eq & pv_) + pv_) ^ pv_) | eq;
+    uint64_t ph = mv_ | ~(xh | pv_);
+    uint64_t mh = pv_ & xh;
+    if (ph & last_) {
+      ++score_;
+    } else if (mh & last_) {
+      --score_;
+    }
+    ph = (ph << 1) | 1;  // the boundary row D[0][j] = j grows every column
+    mh <<= 1;
+    pv_ = mh | ~(xv | ph);
+    mv_ = ph & xv;
+  }
+
+  int score() const { return score_; }
+
+ private:
+  uint64_t pv_ = ~uint64_t{0};
+  uint64_t mv_ = 0;
+  int score_;
+  const uint64_t last_;
+};
+
+/// Single-word Myers with the match masks in a Peq table.
 int MyersSingleWord(std::string_view pattern, std::string_view text) {
   const int m = static_cast<int>(pattern.size());
   PeqTable peq = KernelScratch::Get().BorrowPeq(1);
   for (int i = 0; i < m; ++i) {
     peq.Set(static_cast<unsigned char>(pattern[i]), 0, uint64_t{1} << i);
   }
-  uint64_t pv = ~uint64_t{0};
-  uint64_t mv = 0;
-  int score = m;
-  const uint64_t last = uint64_t{1} << (m - 1);
+  MyersWord myers(m);
   for (char tc : text) {
-    const uint64_t eq = peq.Row(static_cast<unsigned char>(tc), 0);
-    const uint64_t xv = eq | mv;
-    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
-    uint64_t ph = mv | ~(xh | pv);
-    uint64_t mh = pv & xh;
-    if (ph & last) {
-      ++score;
-    } else if (mh & last) {
-      --score;
-    }
-    ph = (ph << 1) | 1;  // the boundary row D[0][j] = j grows every column
-    mh <<= 1;
-    pv = mh | ~(xv | ph);
-    mv = ph & xv;
+    myers.Step(peq.Row(static_cast<unsigned char>(tc), 0));
   }
-  return score;
+  return myers.score();
 }
+
+#if defined(FAIREM_EDIT_X86)
+/// Single-word Myers for patterns of <= 16 bytes with no Peq table: the
+/// pattern sits in one register and a text byte's match mask is one
+/// broadcast compare + movemask, the Peq row plus garbage bits from the
+/// zero padding when the text byte is NUL. Those bits sit above the
+/// pattern's last bit, so they cannot reach it: the recurrence's one
+/// addition carries upward only (as in the blocked kernel's partial last
+/// block). Short attribute values — names, venues — are the common case,
+/// and for them building and clearing the table cost more than the
+/// recurrence itself.
+__attribute__((target("sse4.2"))) int MyersShortSse(std::string_view pattern,
+                                                     std::string_view text) {
+  alignas(16) char buf[16] = {};
+  std::memcpy(buf, pattern.data(), pattern.size());
+  const __m128i p = _mm_load_si128(reinterpret_cast<const __m128i*>(buf));
+  MyersWord myers(static_cast<int>(pattern.size()));
+  for (char tc : text) {
+    const uint32_t eq = static_cast<uint32_t>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(p, _mm_set1_epi8(tc))));
+    myers.Step(eq);
+  }
+  return myers.score();
+}
+
+/// MyersShortSse for patterns of <= 32 bytes in one AVX2 register.
+__attribute__((target("avx2"))) int MyersShortAvx2(std::string_view pattern,
+                                                   std::string_view text) {
+  alignas(32) char buf[32] = {};
+  std::memcpy(buf, pattern.data(), pattern.size());
+  const __m256i p = _mm256_load_si256(reinterpret_cast<const __m256i*>(buf));
+  MyersWord myers(static_cast<int>(pattern.size()));
+  for (char tc : text) {
+    const uint32_t eq = static_cast<uint32_t>(
+        _mm256_movemask_epi8(_mm256_cmpeq_epi8(p, _mm256_set1_epi8(tc))));
+    myers.Step(eq);
+  }
+  return myers.score();
+}
+#endif
 
 /// One 64-row block of the blocked Myers recurrence (Hyyrö's AdvanceBlock):
 /// consumes the horizontal delta `hin` entering from the block above,
@@ -141,6 +203,15 @@ int LevenshteinDistance(std::string_view a, std::string_view b) {
   if (b.empty()) return static_cast<int>(a.size());
   if (a.size() > b.size()) std::swap(a, b);  // fewer blocks: pattern = shorter
   CountSimdKernelCalls();
+#if defined(FAIREM_EDIT_X86)
+  const SimdLevel level = ActiveSimdLevel();
+  if (level == SimdLevel::kSse42 || level == SimdLevel::kAvx2) {
+    if (a.size() <= 16) return MyersShortSse(a, b);
+    if (a.size() <= 32 && level == SimdLevel::kAvx2) {
+      return MyersShortAvx2(a, b);
+    }
+  }
+#endif
   return a.size() <= 64 ? MyersSingleWord(a, b) : MyersBlocked(a, b);
 }
 

@@ -77,10 +77,10 @@ size_t SortedIntersectionSize(const std::vector<std::string>& a,
 /// scan, else the dispatched sorted-u32 merge. Bitsets from different
 /// universe sizes intersect over min(words) — exact, because the side
 /// built at the smaller universe has no ids beyond it.
-size_t IdIntersectionSize(const std::vector<uint32_t>& a_ids,
-                          const std::vector<uint64_t>& a_bits,
-                          const std::vector<uint32_t>& b_ids,
-                          const std::vector<uint64_t>& b_bits) {
+size_t IdIntersectionSize(PackedRun<uint32_t> a_ids,
+                          PackedRun<uint64_t> a_bits,
+                          PackedRun<uint32_t> b_ids,
+                          PackedRun<uint64_t> b_bits) {
   if (!a_bits.empty() && !b_bits.empty() &&
       a_ids.size() + b_ids.size() >= kBitsetMinIds) {
     const size_t words = std::min(a_bits.size(), b_bits.size());
@@ -207,70 +207,104 @@ uint32_t TokenInterner::Intern(std::string_view token) {
   return id;
 }
 
+bool InterningEnabled(const PreparedNeeds& needs) {
+  // FAIREM_SIMD=off keeps the seed's string-merge path end to end: no ids,
+  // no bitsets, so the scalar tier really is the pre-vectorization code.
+  return (needs.word_set || needs.qgram_set) &&
+         ActiveSimdLevel() != SimdLevel::kScalar;
+}
+
 void PreparedColumn::BuildRows(const Table& table, size_t col,
                                const std::vector<size_t>& rows,
                                const PreparedNeeds& needs,
                                ColumnInterners* interners) {
-  values_.assign(table.num_rows(), PreparedValue{});
+  Reset(table.num_rows());
   GlobalThreadPool().ParallelFor(
       rows.size(), /*grain=*/0, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          size_t row = rows[i];
-          values_[row] =
-              PrepareValue(table.value(row, col), table.IsNull(row, col), needs);
-        }
+        PrepareRange(table, col, rows, begin, end, needs);
       });
-  BuildsCounter()->Increment(rows.size());
-  if (interners == nullptr || (!needs.word_set && !needs.qgram_set)) return;
-  // FAIREM_SIMD=off keeps the seed's string-merge path end to end: no ids,
-  // no bitsets, so the scalar tier really is the pre-vectorization code.
-  if (ActiveSimdLevel() == SimdLevel::kScalar) return;
-  // Interning is a sequential second pass in row order: first-encounter id
-  // assignment must not depend on the ParallelFor schedule above, or the
-  // (exact) intersections downstream would stay equal but the bitset/merge
-  // layouts would differ run to run. Determinism over parallelism here —
-  // the pass is a hash lookup per token, a sliver of PrepareValue's cost.
+  InternRows(rows, needs, interners);
+}
+
+void PreparedColumn::Reset(size_t num_rows) {
+  values_.assign(num_rows, PreparedValue{});
+  ids_.clear();
+  bits_.clear();
+}
+
+void PreparedColumn::PrepareRange(const Table& table, size_t col,
+                                  const std::vector<size_t>& rows,
+                                  size_t begin, size_t end,
+                                  const PreparedNeeds& needs) {
+  for (size_t i = begin; i < end; ++i) {
+    const size_t row = rows[i];
+    values_[row] =
+        PrepareValue(table.value(row, col), table.IsNull(row, col), needs);
+  }
+  BuildsCounter()->Increment(end - begin);
+}
+
+void PreparedColumn::InternRows(const std::vector<size_t>& rows,
+                                const PreparedNeeds& needs,
+                                ColumnInterners* interners) {
+  if (interners == nullptr || !InterningEnabled(needs)) return;
+  // Sequential in row order on one thread: first-encounter id assignment
+  // depends only on the rows and on what this column pair's interner saw
+  // before (the a-side, when this is the b-side), never on a schedule, so
+  // the bitset/merge layouts — and every double — are --intra_jobs
+  // independent. Parallelism comes from running column pairs side by
+  // side, each with its own interner.
+
+  // Size both buffers up front so the runs handed out stay put.
+  size_t id_count = 0;
+  size_t set_rows = 0;
+  for (size_t row : rows) {
+    const PreparedValue& v = values_[row];
+    if (v.is_null) continue;
+    id_count += v.word_set.size() + v.qgram_set.size();
+    ++set_rows;
+  }
+  ids_.resize(id_count);
+  uint32_t* next_id = ids_.data();
+  auto intern = [&](const std::vector<std::string>& tokens,
+                    TokenInterner* interner) {
+    uint32_t* begin = next_id;
+    for (const auto& t : tokens) *next_id++ = interner->Intern(t);
+    std::sort(begin, next_id);
+    return PackedRun<uint32_t>(begin, tokens.size());
+  };
   for (size_t row : rows) {
     PreparedValue& v = values_[row];
     if (v.is_null) continue;
-    if (needs.word_set) {
-      v.word_ids.reserve(v.word_set.size());
-      for (const auto& t : v.word_set) {
-        v.word_ids.push_back(interners->words.Intern(t));
-      }
-      std::sort(v.word_ids.begin(), v.word_ids.end());
-    }
-    if (needs.qgram_set) {
-      v.qgram_ids.reserve(v.qgram_set.size());
-      for (const auto& t : v.qgram_set) {
-        v.qgram_ids.push_back(interners->qgrams.Intern(t));
-      }
-      std::sort(v.qgram_ids.begin(), v.qgram_ids.end());
-    }
+    if (needs.word_set) v.word_ids = intern(v.word_set, &interners->words);
+    if (needs.qgram_set) v.qgram_ids = intern(v.qgram_set, &interners->qgrams);
     v.has_ids = true;
   }
-  // Bitsets for small universes: disjoint rows, so this pass can go back
-  // on the pool. A side built later (larger universe, possibly over the
-  // cap) still intersects exactly with an earlier smaller-universe side —
-  // see IdIntersectionSize.
-  auto build_bits = [&](bool qgram, size_t universe) {
-    if (universe == 0 || universe > kBitsetMaxUniverse) return;
-    const size_t words = (universe + 63) / 64;
-    GlobalThreadPool().ParallelFor(
-        rows.size(), /*grain=*/0, [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            PreparedValue& v = values_[rows[i]];
-            if (v.is_null) continue;
-            std::vector<uint64_t>& bits = qgram ? v.qgram_bits : v.word_bits;
-            bits.assign(words, 0);
-            for (uint32_t id : qgram ? v.qgram_ids : v.word_ids) {
-              bits[id >> 6] |= uint64_t{1} << (id & 63);
-            }
-          }
-        });
+  // Bitsets for small universes, sized at the universe this side reached.
+  // A side built later (larger universe, possibly over the cap) still
+  // intersects exactly with an earlier smaller-universe side — see
+  // IdIntersectionSize.
+  auto bit_words = [](bool needed, size_t universe) -> size_t {
+    if (!needed || universe == 0 || universe > kBitsetMaxUniverse) return 0;
+    return (universe + 63) / 64;
   };
-  if (needs.word_set) build_bits(/*qgram=*/false, interners->words.size());
-  if (needs.qgram_set) build_bits(/*qgram=*/true, interners->qgrams.size());
+  const size_t word_words = bit_words(needs.word_set, interners->words.size());
+  const size_t qgram_words =
+      bit_words(needs.qgram_set, interners->qgrams.size());
+  bits_.assign(set_rows * (word_words + qgram_words), 0);
+  uint64_t* next_word = bits_.data();
+  auto set_bits = [&](PackedRun<uint32_t> ids, size_t words) {
+    uint64_t* bits = next_word;
+    next_word += words;
+    for (uint32_t id : ids) bits[id >> 6] |= uint64_t{1} << (id & 63);
+    return PackedRun<uint64_t>(bits, words);
+  };
+  for (size_t row : rows) {
+    PreparedValue& v = values_[row];
+    if (v.is_null) continue;
+    if (word_words > 0) v.word_bits = set_bits(v.word_ids, word_words);
+    if (qgram_words > 0) v.qgram_bits = set_bits(v.qgram_ids, qgram_words);
+  }
 }
 
 void AddPreparedCacheHits(uint64_t n) {

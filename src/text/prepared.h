@@ -1,6 +1,7 @@
 #ifndef FAIREM_TEXT_PREPARED_H_
 #define FAIREM_TEXT_PREPARED_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -37,6 +38,31 @@ struct PreparedNeeds {
 /// Measures not listed here (pure character-level ones) need only `raw`.
 PreparedNeeds NeedsForMeasure(SimilarityMeasure m);
 
+/// A read-only run of interned ids or bitset words. The PreparedColumn
+/// that interned a value owns the storage — one buffer per column rather
+/// than one allocation per value and set — and the run stays valid while
+/// that column lives and is not rebuilt.
+template <typename T>
+class PackedRun {
+ public:
+  PackedRun() = default;
+  PackedRun(const T* data, size_t size) : data_(data), size_(size) {}
+
+  const T* data() const { return data_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+
+  friend bool operator==(const PackedRun& a, const PackedRun& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  const T* data_ = nullptr;
+  size_t size_ = 0;
+};
+
 /// One record's cell, tokenized/normalized exactly once. The pairwise
 /// kernels that used to call AlnumTokenize / QGrams / ParseDouble per pair
 /// read these instead, which turns the O(pairs) re-derivation of the hot
@@ -59,10 +85,10 @@ struct PreparedValue {
   /// interners on a vectorized SIMD tier; ids from different interners are
   /// not comparable.
   bool has_ids = false;
-  std::vector<uint32_t> word_ids;
-  std::vector<uint32_t> qgram_ids;
-  std::vector<uint64_t> word_bits;
-  std::vector<uint64_t> qgram_bits;
+  PackedRun<uint32_t> word_ids;
+  PackedRun<uint32_t> qgram_ids;
+  PackedRun<uint64_t> word_bits;
+  PackedRun<uint64_t> qgram_bits;
 
   double numeric_value = 0.0;
   bool is_numeric = false;
@@ -70,12 +96,14 @@ struct PreparedValue {
 
 /// Maps tokens to dense uint32_t ids in first-encounter order. One
 /// interner is shared by the two table sides of a column pair (the a-side
-/// BuildRows interns first, then the b-side), which is what makes the ids
-/// comparable across sides. Interning is sequential in row order, so the
-/// id assignment — and every downstream double — is independent of
-/// --intra_jobs. Not thread-safe; the builder owns it for the duration of
-/// the two BuildRows calls and may drop it afterwards (ids are baked into
-/// the PreparedValues).
+/// interns first, then the b-side), which is what makes the ids
+/// comparable across sides. Each interner is fed by one task: sequential
+/// in row order within a side, a-side before b-side, so its id assignment
+/// — and every downstream double — is independent of --intra_jobs even
+/// when the interners of different column pairs run on different threads.
+/// Not thread-safe; the builder owns it for the duration of the two
+/// InternRows calls and may drop it afterwards (ids are baked into the
+/// PreparedValues).
 class TokenInterner {
  public:
   /// The id of `token`, assigning the next dense id on first encounter.
@@ -114,11 +142,18 @@ PreparedValue PrepareValue(std::string_view raw, bool is_null,
 double ComputeSimilarity(SimilarityMeasure m, const PreparedValue& a,
                          const PreparedValue& b);
 
+/// True when a column with these needs gets interned ids: it needs a word
+/// or q-gram set and the active SIMD tier is vectorized (FAIREM_SIMD=off
+/// skips interning entirely).
+bool InterningEnabled(const PreparedNeeds& needs);
+
 /// A per-(table, column) cache of PreparedValue, built once per
 /// BuildFeatureTable / batch-predict call for exactly the rows a pair list
-/// references. BuildRows chunks the row list over the global thread pool
-/// (disjoint slots, deterministic); afterwards Get is const and safe from
-/// any thread.
+/// references. Building runs in two phases: PrepareRange over disjoint row
+/// ranges (parallel-safe, deterministic), then InternRows (sequential).
+/// BuildRows runs both for one column; the feature-table builder runs both
+/// for all its columns in one pool region. Afterwards Get is const and
+/// safe from any thread.
 ///
 /// Counters: `fairem.prepared.builds` counts cells prepared,
 /// `fairem.prepared.cache_hits` counts pair-side lookups served from the
@@ -126,6 +161,11 @@ double ComputeSimilarity(SimilarityMeasure m, const PreparedValue& a,
 class PreparedColumn {
  public:
   PreparedColumn() = default;
+  // Values point into ids_/bits_: a copy would point into the original.
+  PreparedColumn(const PreparedColumn&) = delete;
+  PreparedColumn& operator=(const PreparedColumn&) = delete;
+  PreparedColumn(PreparedColumn&&) = default;
+  PreparedColumn& operator=(PreparedColumn&&) = default;
 
   /// Prepares `rows` (deduplicated indices into `table`) for column `col`.
   /// Unreferenced rows stay unprepared and must not be fetched. When
@@ -137,11 +177,30 @@ class PreparedColumn {
                  const std::vector<size_t>& rows, const PreparedNeeds& needs,
                  ColumnInterners* interners = nullptr);
 
+  /// Phase 0: drops previous values and sizes the cache for a table of
+  /// `num_rows` rows.
+  void Reset(size_t num_rows);
+
+  /// Phase 1: prepares rows[begin, end) (no interning). Disjoint ranges of
+  /// one column may run concurrently.
+  void PrepareRange(const Table& table, size_t col,
+                    const std::vector<size_t>& rows, size_t begin,
+                    size_t end, const PreparedNeeds& needs);
+
+  /// Phase 2: interns the prepared word/q-gram sets of `rows` in row
+  /// order, then builds their bitsets at the universe size reached after
+  /// this side. Call the a-side before the b-side of a column pair. A
+  /// no-op when `interners` is null or !InterningEnabled(needs).
+  void InternRows(const std::vector<size_t>& rows, const PreparedNeeds& needs,
+                  ColumnInterners* interners);
+
   /// The prepared cell for a row passed to BuildRows.
   const PreparedValue& Get(size_t row) const { return values_[row]; }
 
  private:
   std::vector<PreparedValue> values_;
+  std::vector<uint32_t> ids_;   // every value's word then q-gram ids
+  std::vector<uint64_t> bits_;  // every value's word then q-gram bitset
 };
 
 /// Bumps fairem.prepared.cache_hits by `n` (batched by chunk in the hot

@@ -51,6 +51,34 @@ Counter* PoolNestedCounter() {
   return c;
 }
 
+/// How long a worker spins for the next job after finishing one, and how
+/// long the submitter spins for in-flight chunks, before sleeping on the
+/// condition variable. A parked worker can take 0.1-1 ms to wake on a
+/// virtualized host (see fairem.pool.queue_wait_seconds), as long as a
+/// whole feature-table build; 200 us bridges the back-to-back regions of
+/// one build and most gaps between the builds of one grid cell, and caps
+/// what an idle worker burns per region.
+constexpr auto kSpinBudget = std::chrono::microseconds(200);
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spins until `done()` or `kSpinBudget` elapses; true if `done()` held.
+template <typename Pred>
+bool SpinUntil(Pred done) {
+  const Clock::time_point deadline = Clock::now() + kSpinBudget;
+  for (unsigned i = 1;; ++i) {
+    if (done()) return true;
+    if (i % 64 == 0 && Clock::now() >= deadline) return false;
+    CpuRelax();
+  }
+}
+
 Histogram* QueueWaitHistogram() {
   static Histogram* h = MetricsRegistry::Global().GetHistogram(
       "fairem.pool.queue_wait_seconds",
@@ -143,16 +171,33 @@ void ThreadPool::WorkerLoop() {
   // them a SIGPROF landing on a pool thread records only the leaf PC.
   Profiler::RegisterCurrentThread();
   uint64_t seen_generation = 0;
+  uint64_t seen_wake = 0;
   for (;;) {
+    SpinUntil([&]() {
+      return job_generation_.load(std::memory_order_acquire) !=
+             seen_generation;
+    });
     Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&]() {
-        return shutdown_ || (job_ != nullptr && job_generation_ != seen_generation);
-      });
-      if (shutdown_) return;
-      job = job_;
-      seen_generation = job_generation_;
+      for (;;) {
+        if (shutdown_) return;
+        const uint64_t generation =
+            job_generation_.load(std::memory_order_relaxed);
+        if (generation != seen_generation) {
+          seen_generation = generation;
+          // A null job_ means the submitter already drained it.
+          job = job_;
+          if (job != nullptr) break;
+          continue;
+        }
+        if (wake_epoch_ != seen_wake) {  // Prewake: go spin for the job
+          seen_wake = wake_epoch_;
+          break;
+        }
+        work_cv_.wait(lock);
+      }
+      if (job == nullptr) continue;
       job->in_flight.fetch_add(1, std::memory_order_acq_rel);
     }
     t_in_parallel_region = true;
@@ -198,7 +243,7 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_ = &job;
-    ++job_generation_;
+    job_generation_.fetch_add(1, std::memory_order_release);
   }
   work_cv_.notify_all();
 
@@ -208,13 +253,27 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
   t_in_parallel_region = false;
 
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     job_ = nullptr;  // late-waking workers must not pick the dead job up
-    done_cv_.wait(lock, [&]() {
-      return job.in_flight.load(std::memory_order_acquire) == 0;
-    });
+  }
+  // in_flight only falls from here on: joining needs job_ under mu_.
+  auto drained = [&]() {
+    return job.in_flight.load(std::memory_order_acquire) == 0;
+  };
+  if (!SpinUntil(drained)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, drained);
   }
   if (job.has_error) std::rethrow_exception(job.first_error);
+}
+
+void ThreadPool::Prewake() {
+  if (workers_.empty() || t_in_parallel_region) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++wake_epoch_;
+  }
+  work_cv_.notify_all();
 }
 
 namespace {

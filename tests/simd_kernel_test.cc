@@ -153,6 +153,31 @@ TEST(SimdKernelTest, LevenshteinMatchesNaiveAtEveryLevel) {
   }
 }
 
+/// The register-held short-pattern kernels (<= 16 bytes on SSE4.2, <= 32
+/// on AVX2) at their length boundaries, with NUL bytes on both sides so
+/// the zero-padded register lanes match text bytes too.
+TEST(SimdKernelTest, ShortPatternLevenshteinMatchesNaiveAtBoundaries) {
+  Rng rng(20261019);
+  const std::vector<SimdLevel> levels = RunnableLevels();
+  for (size_t len_a : {1, 2, 15, 16, 17, 31, 32, 33}) {
+    for (int iter = 0; iter < 40; ++iter) {
+      std::string a = RandomString(&rng, len_a, false);
+      std::string b = RandomString(&rng, len_a + rng.NextBounded(20), false);
+      if (rng.NextBool(0.5)) {
+        a[rng.NextBounded(a.size())] = '\0';
+        b[rng.NextBounded(b.size())] = '\0';
+      }
+      const int expected = NaiveLevenshtein(a, b);
+      for (SimdLevel level : levels) {
+        LevelGuard guard(level);
+        EXPECT_EQ(expected, LevenshteinDistance(a, b))
+            << SimdLevelName(level) << " at |a| = " << a.size()
+            << ", |b| = " << b.size();
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, DamerauMatchesNaiveAtEveryLevel) {
   Rng rng(77001);
   for (int iter = 0; iter < 300; ++iter) {

@@ -10,6 +10,7 @@
 #include "src/datagen/benchmark_suite.h"
 #include "src/feature/feature_gen.h"
 #include "src/ml/random_forest.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 
 namespace fairem {
@@ -165,6 +166,37 @@ TEST(ParallelDeterminismTest, FeatureTableIdenticalAcrossIntraJobs) {
       EXPECT_EQ(seq.rows[i][f], par.rows[i][f]) << "row " << i << " feat " << f;
     }
   }
+}
+
+/// A feature-table build opens one pool region for prepare + intern and
+/// one for the pair loop, however many columns it prepares — a region per
+/// column costs more to hand off than a small table's work — and prepares
+/// the same cells at any --intra_jobs.
+TEST(ParallelDeterminismTest, FeatureBuildOpensTwoPoolRegions) {
+  IntraJobsGuard guard;
+  EMDataset ds =
+      std::move(GenerateDataset(DatasetKind::kDblpAcm, 0.35)).value();
+  std::vector<FeatureDef> defs =
+      std::move(GenerateFeatures(ds.table_a, ds.table_b, ds.matching_attrs))
+          .value();
+  Counter* regions =
+      MetricsRegistry::Global().GetCounter("fairem.pool.parallel_fors");
+  Counter* cells =
+      MetricsRegistry::Global().GetCounter("fairem.prepared.builds");
+  auto build = [&](int intra_jobs) {
+    SetIntraJobs(intra_jobs);
+    const uint64_t regions_before = regions->value();
+    const uint64_t cells_before = cells->value();
+    EXPECT_TRUE(
+        BuildFeatureTable(defs, ds.table_a, ds.table_b, ds.train).ok());
+    return std::make_pair(regions->value() - regions_before,
+                          cells->value() - cells_before);
+  };
+  const auto seq = build(1);
+  const auto par = build(4);
+  EXPECT_EQ(2u, par.first);
+  EXPECT_EQ(seq, par);
+  EXPECT_GT(par.second, 0u);
 }
 
 TEST(ParallelDeterminismTest, RandomForestIdenticalAcrossIntraJobs) {
