@@ -281,12 +281,6 @@ Result<WorkerTelemetry> ParseWorkerTelemetry(const std::string& json) {
 
 // ---------------------------------------------------------------- framing --
 
-namespace {
-
-constexpr size_t kMagicLen = 8;
-constexpr size_t kFrameTypeLen = 4;
-constexpr size_t kFrameHeaderLen = kFrameTypeLen + 16 + 1;
-
 void AppendFrame(std::string* wire, const std::string& type,
                  const std::string& bytes) {
   char length[32];
@@ -303,19 +297,15 @@ void AppendFrame(std::string* wire, const std::string& type,
   wire->append(bytes);
 }
 
-/// Parses a frame header at `pos`. Returns false on malformed bytes (bad
-/// length digits, missing '\n', type not 4 printable chars).
-bool ParseFrameHeader(const std::string& wire, size_t pos, std::string* type,
+bool ParseFrameHeader(const char* header, std::string* type,
                       uint64_t* length) {
-  if (pos + kFrameHeaderLen > wire.size()) return false;
   for (size_t i = 0; i < kFrameTypeLen; ++i) {
-    char c = wire[pos + i];
+    char c = header[i];
     if (c < 0x21 || c > 0x7e) return false;  // printable, non-space
   }
-  *type = wire.substr(pos, kFrameTypeLen);
   uint64_t out = 0;
-  for (size_t i = pos + kFrameTypeLen; i < pos + kFrameTypeLen + 16; ++i) {
-    char c = wire[i];
+  for (size_t i = kFrameTypeLen; i < kFrameTypeLen + 16; ++i) {
+    char c = header[i];
     out <<= 4;
     if (c >= '0' && c <= '9') {
       out |= static_cast<uint64_t>(c - '0');
@@ -325,21 +315,20 @@ bool ParseFrameHeader(const std::string& wire, size_t pos, std::string* type,
       return false;
     }
   }
-  if (wire[pos + kFrameHeaderLen - 1] != '\n') return false;
+  if (header[kFrameHeaderLen - 1] != '\n') return false;
+  type->assign(header, kFrameTypeLen);
   *length = out;
   return true;
 }
 
-}  // namespace
-
 std::string EncodeTelemetryWire(const std::vector<TelemetryFrame>& frames,
                                 const std::string& payload) {
-  size_t reserve = kMagicLen + (frames.size() + 1) * kFrameHeaderLen +
-                   payload.size();
+  size_t reserve = kTelemetryMagicLen +
+                   (frames.size() + 1) * kFrameHeaderLen + payload.size();
   for (const TelemetryFrame& f : frames) reserve += f.bytes.size();
   std::string wire;
   wire.reserve(reserve);
-  wire.append(kTelemetryMagic, kMagicLen);
+  wire.append(kTelemetryMagic, kTelemetryMagicLen);
   for (const TelemetryFrame& f : frames) AppendFrame(&wire, f.type, f.bytes);
   AppendFrame(&wire, kFramePayload, payload);
   return wire;
@@ -349,12 +338,13 @@ TelemetryWireParse ParseTelemetryWire(const std::string& wire) {
   static Counter* unknown_frames = MetricsRegistry::Global().GetCounter(
       "fairem.telemetry.unknown_frames");
   TelemetryWireParse out;
-  if (wire.size() < kMagicLen ||
-      wire.compare(0, kMagicLen, kTelemetryMagic, kMagicLen) != 0) {
+  if (wire.size() < kTelemetryMagicLen ||
+      wire.compare(0, kTelemetryMagicLen, kTelemetryMagic,
+                   kTelemetryMagicLen) != 0) {
     out.payload = wire;
     return out;
   }
-  size_t pos = kMagicLen;
+  size_t pos = kTelemetryMagicLen;
   std::vector<TelemetryFrame> frames;
   std::string payload;
   bool saw_payload = false;
@@ -362,7 +352,8 @@ TelemetryWireParse ParseTelemetryWire(const std::string& wire) {
   while (pos < wire.size()) {
     std::string type;
     uint64_t length = 0;
-    if (!ParseFrameHeader(wire, pos, &type, &length)) {
+    if (pos + kFrameHeaderLen > wire.size() ||
+        !ParseFrameHeader(wire.data() + pos, &type, &length)) {
       // Malformed header. Before any complete frame this means "not our
       // framing at all" and the wire passes through whole; after one it is
       // mid-wire corruption/truncation — keep what already parsed.

@@ -65,6 +65,9 @@ Result<WorkerTelemetry> ParseWorkerTelemetry(const std::string& json);
 // truncated mid-frame keeps the frames already parsed (payload empty).
 
 inline constexpr char kTelemetryMagic[] = "FEMTEL1\n";
+inline constexpr size_t kTelemetryMagicLen = 8;
+inline constexpr size_t kFrameTypeLen = 4;
+inline constexpr size_t kFrameHeaderLen = kFrameTypeLen + 16 + 1;
 inline constexpr char kFrameTelemetry[] = "TELE";
 inline constexpr char kFrameProfile[] = "PROF";
 inline constexpr char kFramePayload[] = "PAYL";
@@ -82,6 +85,22 @@ struct TelemetryWireParse {
   std::vector<TelemetryFrame> frames;
   std::string payload;
 };
+
+// The one FEMTEL1 frame codec. The worker pipe below and the serve socket
+// wire (src/serve/protocol.h) both encode and parse frames through these
+// two functions; only the policy around them differs (the pipe is lenient,
+// the socket strict and length-capped).
+
+/// Appends one frame, `<type><16 hex digits: length>\n<bytes>`, to *wire.
+/// A type shorter than 4 bytes is padded with '_'.
+void AppendFrame(std::string* wire, const std::string& type,
+                 const std::string& bytes);
+
+/// Parses the kFrameHeaderLen bytes at `header`. False on malformed bytes:
+/// a type that is not 4 printable non-space chars, a length digit that is
+/// not lowercase hex, or a missing '\n'.
+bool ParseFrameHeader(const char* header, std::string* type,
+                      uint64_t* length);
 
 /// Frames + final PAYL frame, encoded. `frames` must not contain a PAYL
 /// frame of its own; the payload always travels last.

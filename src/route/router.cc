@@ -1,14 +1,8 @@
 #include "src/route/router.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <map>
@@ -23,6 +17,7 @@
 #include "src/robust/checkpoint.h"
 #include "src/robust/circuit_breaker.h"
 #include "src/robust/supervisor.h"
+#include "src/serve/event_loop.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/util/durable_file.h"
@@ -32,12 +27,6 @@
 
 namespace fairem {
 namespace {
-
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // SIGHUP latch for live membership reload. sig_atomic_t write is the only
 // thing the handler does; the event loop consumes it between poll rounds.
@@ -54,11 +43,6 @@ void InstallSighupHandler() {
 }
 
 struct RouteMetrics {
-  Counter* accepted;
-  Counter* closed;
-  Counter* client_disconnects;
-  Counter* slow_client_closes;
-  Counter* malformed_frames;
   Counter* queries_total;
   Counter* queries_ok;
   Counter* failed_queries;
@@ -81,18 +65,12 @@ struct RouteMetrics {
   Gauge* backends;
   Gauge* backends_usable;
   Gauge* inflight_jobs;
-  Gauge* connections;
   Histogram* request_seconds;
   Histogram* backend_call_seconds;
 
   static RouteMetrics Make() {
     MetricsRegistry& reg = MetricsRegistry::Global();
     RouteMetrics m;
-    m.accepted = reg.GetCounter("fairem.route.connections_accepted");
-    m.closed = reg.GetCounter("fairem.route.connections_closed");
-    m.client_disconnects = reg.GetCounter("fairem.route.client_disconnects");
-    m.slow_client_closes = reg.GetCounter("fairem.route.slow_client_closes");
-    m.malformed_frames = reg.GetCounter("fairem.route.malformed_frames");
     m.queries_total = reg.GetCounter("fairem.route.queries_total");
     m.queries_ok = reg.GetCounter("fairem.route.queries_ok");
     // A definite non-retryable error delivered to a client. The chaos
@@ -118,7 +96,6 @@ struct RouteMetrics {
     m.backends = reg.GetGauge("fairem.route.backends");
     m.backends_usable = reg.GetGauge("fairem.route.backends_usable");
     m.inflight_jobs = reg.GetGauge("fairem.route.inflight_jobs");
-    m.connections = reg.GetGauge("fairem.route.connections");
     m.request_seconds = reg.GetHistogram("fairem.route.request_seconds");
     m.backend_call_seconds =
         reg.GetHistogram("fairem.route.backend_call_seconds");
@@ -126,30 +103,16 @@ struct RouteMetrics {
   }
 };
 
-struct FrontConnection {
-  int fd = -1;
-  uint64_t id = 0;
-  FrameDecoder decoder;
-  std::string outbuf;
-  size_t out_sent = 0;
-  double last_activity_s = 0.0;
-
-  bool has_pending_out() const { return out_sent < outbuf.size(); }
-};
-
-/// One backend daemon as the router sees it: its breaker, its persistent
-/// probe connection, and the last load report it gave.
+/// One backend daemon as the router sees it: its breaker, the one
+/// persistent stream that carries both its health probes and every call
+/// routed to it, and the last load report it gave.
 struct Backend {
   std::string path;
   CircuitBreaker breaker;
   Gauge* state_gauge = nullptr;
   uint64_t opens_seen = 0;
 
-  // Probe connection (persistent, re-established on any failure).
-  int fd = -1;
-  FrameDecoder decoder;
-  std::string outbuf;
-  size_t out_sent = 0;
+  uint64_t stream = 0;  // event-loop stream id; 0 while not connected
   double next_probe_s = 0.0;
   double probe_sent_s = -1.0;  // >= 0 while a probe awaits its reply
   uint64_t probe_id = 0;
@@ -157,26 +120,21 @@ struct Backend {
   /// Last HLTH reply's serving flag. Optimistic before the first probe so
   /// a cold-started router can route immediately.
   bool serving = true;
-
-  bool has_pending_out() const { return out_sent < outbuf.size(); }
 };
 
-/// One request to one backend: its own connection, so cancelling a loser
-/// (hedge or failover) is just a close — no shared stream to corrupt.
+/// One request of a job to one backend, sent on that backend's stream. Its
+/// answer and PROG frames come back carrying the job's route_id; the
+/// stream they arrive on tells a primary from its hedge.
 struct RouteCall {
-  int fd = -1;
   std::string backend;
-  FrameDecoder decoder;
-  std::string outbuf;
-  size_t out_sent = 0;
+  uint64_t stream = 0;  // 0: no call in flight
   double started_s = 0.0;
   // "router.call" span for this backend attempt; 0 when the job is
   // untraced or the span has already been closed into job.spans.
   uint64_t span_id = 0;
   int64_t started_unix_us = 0;
 
-  bool active() const { return fd >= 0; }
-  bool has_pending_out() const { return out_sent < outbuf.size(); }
+  bool active() const { return stream != 0; }
 };
 
 struct RouteJob {
@@ -199,64 +157,14 @@ struct RouteJob {
   std::vector<WireSpan> spans;   // completed router-side spans
 };
 
-Result<int> ConnectUnix(const std::string& socket_path) {
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (socket_path.empty() || socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("route: socket path empty or too long: '" +
-                                   socket_path + "'");
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("route: socket failed: ") +
-                           std::strerror(errno));
-  }
-  // Blocking connect: on UNIX sockets it either succeeds immediately or
-  // fails immediately (ECONNREFUSED/ENOENT for a dead backend); there is
-  // no multi-RTT handshake to stall the event loop on.
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    int saved = errno;
-    ::close(fd);
-    if (saved == ENOENT || saved == ECONNREFUSED || saved == EAGAIN) {
-      return Status::Unavailable(std::string("backend not up: ") +
-                                 std::strerror(saved));
-    }
-    return Status::IOError("route: connect('" + socket_path +
-                           "') failed: " + std::strerror(saved));
-  }
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  return fd;
-}
-
 class RouteDaemon {
  public:
   explicit RouteDaemon(const RouteOptions& options)
       : options_(options),
         metrics_(RouteMetrics::Make()),
         slowlog_(options.slow_query_log, options.slow_query_ms),
-        rng_(0x526f757465ull ^ static_cast<uint64_t>(::getpid())) {}
-
-  ~RouteDaemon() {
-    for (auto& [id, conn] : conns_) ::close(conn.fd);
-    for (auto& [path, backend] : backends_) {
-      if (backend.fd >= 0) ::close(backend.fd);
-    }
-    for (auto& [id, job] : jobs_) {
-      CloseCall(&job.primary);
-      CloseCall(&job.hedge);
-    }
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (!options_.socket_path.empty()) {
-      ::unlink(options_.socket_path.c_str());
-    }
-  }
+        rng_(0x526f757465ull ^ static_cast<uint64_t>(::getpid())),
+        loop_("fairem.route", options.io_timeout_s) {}
 
   Status Run() {
     std::vector<std::string> initial = options_.backends;
@@ -277,129 +185,66 @@ class RouteDaemon {
       return Status::InvalidArgument(
           "route: no backends configured (--backends or --backends_file)");
     }
-    FAIREM_RETURN_NOT_OK(Listen());
+    FAIREM_RETURN_NOT_OK(loop_.Listen(options_.socket_path));
     FAIREM_LOG(INFO) << "fairem route ready"
                      << LogKv("socket", options_.socket_path)
                      << LogKv("backends", backends_.size());
-    while (true) {
-      const double now = MonotonicSeconds();
-      if (ShutdownGuard::requested() && !draining_) BeginDrain();
-      if (g_sighup_latch != 0) {
-        g_sighup_latch = 0;
-        ReloadBackends();
+    EventLoop::Handlers handlers;
+    handlers.on_message = [this](uint64_t stream,
+                                 const ServeMessage& message) {
+      if (Backend* backend = BackendOnStream(stream)) {
+        OnBackendMessage(*backend, stream, message);
+      } else {
+        HandleMessage(stream, message);
       }
-      ProbeBackends(now);
-      StartHedges(now);
-      ExpireJobs(now);
-      if (draining_ && DrainComplete()) break;
-      PollOnce();
-      AcceptPending(now);
-      PumpFrontConnections();
-      PumpBackendProbes();
-      PumpCalls();
-      CloseSlowClients(now);
-      UpdateGauges(now);
-    }
+    };
+    handlers.on_close = [this](uint64_t stream, StreamEnd) {
+      LoseStream(stream);
+    };
+    handlers.tick = [this](double now, EventLoop::Pass* pass) {
+      Tick(now, pass);
+    };
+    loop_.Run(handlers);
     FinishDrain();
     return Status::OK();
   }
 
  private:
-  // ------------------------------------------------------------- sockets --
-
-  Status Listen() {
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    if (options_.socket_path.empty() ||
-        options_.socket_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("route: socket path empty or too long: '" +
-                                     options_.socket_path + "'");
+  void Tick(double now, EventLoop::Pass* pass) {
+    if (ShutdownGuard::requested() && !draining_) BeginDrain();
+    if (g_sighup_latch != 0) {
+      g_sighup_latch = 0;
+      ReloadBackends();
     }
-    std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-                options_.socket_path.size() + 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      return Status::IOError(std::string("route: socket failed: ") +
-                             std::strerror(errno));
+    ProbeBackends(now);
+    StartHedges(now);
+    ExpireJobs(now);
+    UpdateGauges(now);
+    if (draining_ && jobs_.empty() && loop_.Flushed()) {
+      pass->stop = true;
+      return;
     }
-    ::unlink(options_.socket_path.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return Status::IOError("route: bind failed for '" +
-                             options_.socket_path +
-                             "': " + std::strerror(errno));
-    }
-    if (::listen(listen_fd_, options_.listen_backlog) != 0) {
-      return Status::IOError(std::string("route: listen failed: ") +
-                             std::strerror(errno));
-    }
-    SetNonblocking(listen_fd_);
-    return Status::OK();
+    pass->wait_s = NextTimerS(now);
   }
 
-  static void SetNonblocking(int fd) {
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-
-  void PollOnce() {
-    std::vector<pollfd> fds;
-    fds.reserve(1 + conns_.size() + backends_.size() + 2 * jobs_.size());
-    if (!draining_ && listen_fd_ >= 0) {
-      fds.push_back({listen_fd_, POLLIN, 0});
-    }
-    for (auto& [id, conn] : conns_) {
-      short events = POLLIN;
-      if (conn.has_pending_out()) events |= POLLOUT;
-      fds.push_back({conn.fd, events, 0});
-    }
-    for (auto& [path, backend] : backends_) {
-      if (backend.fd < 0) continue;
-      short events = POLLIN;
-      if (backend.has_pending_out()) events |= POLLOUT;
-      fds.push_back({backend.fd, events, 0});
-    }
-    for (auto& [id, job] : jobs_) {
-      for (RouteCall* call : {&job.primary, &job.hedge}) {
-        if (!call->active()) continue;
-        short events = POLLIN;
-        if (call->has_pending_out()) events |= POLLOUT;
-        fds.push_back({call->fd, events, 0});
+  /// Seconds until the next probe, probe timeout, hedge or deadline.
+  double NextTimerS(double now) const {
+    double wait = EventLoop::kMaxWaitS;
+    for (const auto& [path, backend] : backends_) {
+      wait = std::min(wait, backend.next_probe_s - now);
+      if (backend.probe_sent_s >= 0.0) {
+        wait = std::min(wait, backend.probe_sent_s +
+                                  options_.health_timeout_s - now);
       }
     }
-    int timeout_ms = static_cast<int>(options_.poll_interval_s * 1000.0);
-    if (timeout_ms < 1) timeout_ms = 1;
-    // EINTR (SIGTERM/SIGHUP landing) just re-enters the loop, which checks
-    // the latches at the top.
-    (void)::poll(fds.empty() ? nullptr : fds.data(),
-                 static_cast<nfds_t>(fds.size()), timeout_ms);
-  }
-
-  void AcceptPending(double now) {
-    if (draining_ || listen_fd_ < 0) return;
-    for (;;) {
-      int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN or a transient accept error: retry next loop
+    for (const auto& [id, job] : jobs_) {
+      wait = std::min(wait, job.deadline_s - now);
+      if (job.hedge_at_s >= 0.0 && job.primary.active() &&
+          !job.hedge.active()) {
+        wait = std::min(wait, job.hedge_at_s - now);
       }
-      SetNonblocking(fd);
-      FrontConnection conn;
-      conn.fd = fd;
-      conn.id = ++next_conn_id_;
-      conn.last_activity_s = now;
-      metrics_.accepted->Increment();
-      conns_.emplace(conn.id, std::move(conn));
     }
-  }
-
-  void CloseConn(uint64_t conn_id) {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    ::close(it->second.fd);
-    conns_.erase(it);
-    metrics_.closed->Increment();
+    return wait;
   }
 
   // ---------------------------------------------------------- membership --
@@ -410,8 +255,8 @@ class RouteDaemon {
       if (path.empty() || next.count(path) != 0) continue;
       auto existing = backends_.find(path);
       if (existing != backends_.end()) {
-        // A surviving backend keeps its breaker and probe connection:
-        // reload must not forget what we learned about it.
+        // A surviving backend keeps its breaker and its stream: reload
+        // must not forget what we learned about it.
         next.emplace(path, std::move(existing->second));
         backends_.erase(existing);
         continue;
@@ -427,13 +272,17 @@ class RouteDaemon {
           ".state");
       next.emplace(path, std::move(backend));
     }
-    // Whatever is left in backends_ was removed: close its probe.
-    for (auto& [path, backend] : backends_) {
-      if (backend.fd >= 0) ::close(backend.fd);
+    std::swap(backends_, next);
+    // Whatever is left in `next` was removed: close its stream, and the
+    // calls still on it fail over to the new membership.
+    for (auto& [path, backend] : next) {
       if (backend.state_gauge != nullptr) backend.state_gauge->Set(-1.0);
       FAIREM_LOG(INFO) << "backend removed" << LogKv("backend", path);
+      if (backend.stream != 0) {
+        loop_.Close(backend.stream);
+        FailCallsOn(backend.stream);
+      }
     }
-    backends_ = std::move(next);
   }
 
   void ReloadBackends() {
@@ -463,42 +312,76 @@ class RouteDaemon {
                      << LogKv("backends", backends_.size());
   }
 
+  // ------------------------------------------------------------- streams --
+
+  Backend* BackendOnStream(uint64_t stream) {
+    for (auto& [path, backend] : backends_) {
+      if (backend.stream == stream) return &backend;
+    }
+    return nullptr;
+  }
+
+  /// Connects the backend's stream if it has none. False when the backend
+  /// is not up.
+  bool EnsureStream(Backend& backend) {
+    if (backend.stream != 0 && loop_.Has(backend.stream)) return true;
+    Result<uint64_t> stream = loop_.Dial(backend.path);
+    backend.stream = stream.ok() ? *stream : 0;
+    backend.probe_sent_s = -1.0;  // a probe on a lost stream is never answered
+    return stream.ok();
+  }
+
+  /// A stream the loop closed (peer gone, malformed, stalled). For a
+  /// backend's stream that is a failed probe, and every call on it fails
+  /// over exactly as if its own connection had died.
+  void LoseStream(uint64_t stream) {
+    if (Backend* backend = BackendOnStream(stream)) {
+      backend->stream = 0;
+      ProbeFailed(*backend, MonotonicSeconds(), "backend stream closed");
+    }
+    FailCallsOn(stream);
+  }
+
+  void FailCallsOn(uint64_t stream) {
+    const double now = MonotonicSeconds();
+    std::vector<std::pair<uint64_t, bool>> lost;
+    for (const auto& [id, job] : jobs_) {
+      if (job.primary.stream == stream) lost.emplace_back(id, false);
+      if (job.hedge.stream == stream) lost.emplace_back(id, true);
+    }
+    for (const auto& [id, is_hedge] : lost) {
+      auto it = jobs_.find(id);
+      if (it == jobs_.end()) continue;
+      const RouteCall& call = is_hedge ? it->second.hedge : it->second.primary;
+      if (call.stream == stream) OnCallFailed(it->second, is_hedge, now);
+    }
+  }
+
   // ------------------------------------------------------------- probing --
 
   void ProbeBackends(double now) {
     for (auto& [path, backend] : backends_) {
-      if (backend.fd >= 0 && backend.probe_sent_s >= 0.0 &&
+      if (backend.probe_sent_s >= 0.0 &&
           now - backend.probe_sent_s > options_.health_timeout_s) {
         ProbeFailed(backend, now, "probe timeout");
       }
       if (now < backend.next_probe_s) continue;
       ScheduleNextProbe(backend, now);
-      if (backend.fd < 0) {
-        // Probes ignore the breaker on purpose: they are how an open
-        // breaker ever finds out the backend recovered.
-        Result<int> fd = ConnectUnix(backend.path);
-        metrics_.health_probes->Increment();
-        if (!fd.ok()) {
-          metrics_.health_probe_failures->Increment();
-          RecordBackendFailure(backend, now);
-          continue;
-        }
-        backend.fd = *fd;
-        backend.decoder = FrameDecoder();
-        backend.outbuf.clear();
-        backend.out_sent = 0;
-      } else {
-        if (backend.probe_sent_s >= 0.0) continue;  // previous still out
-        metrics_.health_probes->Increment();
+      if (backend.probe_sent_s >= 0.0) continue;  // previous still out
+      metrics_.health_probes->Increment();
+      // Probes ignore the breaker on purpose: they are how an open breaker
+      // ever finds out the backend recovered.
+      if (!EnsureStream(backend)) {
+        metrics_.health_probe_failures->Increment();
+        RecordBackendFailure(backend, now);
+        continue;
       }
       HealthReport probe;
       probe.probe = true;
       probe.id = ++probe_sequence_;
       backend.probe_id = probe.id;
       backend.probe_sent_s = now;
-      backend.outbuf.append(
-          EncodeServeMessage(kFrameHealth, SerializeHealthReport(probe)));
-      FlushBackend(backend, now);
+      loop_.Send(backend.stream, kFrameHealth, SerializeHealthReport(probe));
     }
   }
 
@@ -507,83 +390,71 @@ class RouteDaemon {
         now + options_.health_period_s * rng_.NextDouble(0.5, 1.5);
   }
 
+  /// A probe went unanswered or its stream died. The stream itself is kept
+  /// on a timeout: the calls on it are still owed their answers, and a late
+  /// probe reply is simply ignored by id.
   void ProbeFailed(Backend& backend, double now, const char* reason) {
     FAIREM_LOG(WARN) << "health probe failed"
                      << LogKv("backend", backend.path)
                      << LogKv("reason", reason);
     metrics_.health_probe_failures->Increment();
-    if (backend.fd >= 0) ::close(backend.fd);
-    backend.fd = -1;
-    backend.decoder = FrameDecoder();
-    backend.outbuf.clear();
-    backend.out_sent = 0;
     backend.probe_sent_s = -1.0;
     RecordBackendFailure(backend, now);
   }
 
-  void FlushBackend(Backend& backend, double now) {
-    while (backend.has_pending_out()) {
-      ssize_t n = ::write(backend.fd, backend.outbuf.data() + backend.out_sent,
-                          backend.outbuf.size() - backend.out_sent);
-      if (n > 0) {
-        backend.out_sent += static_cast<size_t>(n);
-        continue;
+  /// A frame from a backend: a probe reply, or the answer or progress of
+  /// one of the calls routed to it.
+  void OnBackendMessage(Backend& backend, uint64_t stream,
+                        const ServeMessage& message) {
+    const double now = MonotonicSeconds();
+    if (message.type == kFrameHealth) {
+      Result<HealthReport> report = ParseHealthReport(message.bytes);
+      if (!report.ok() || backend.probe_sent_s < 0.0 ||
+          report->id != backend.probe_id) {
+        return;
       }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      ProbeFailed(backend, now, "probe write failed");
+      backend.probe_sent_s = -1.0;
+      backend.serving = report->serving;
+      // Transport-wise the backend is alive; a draining backend is
+      // excluded by the serving flag, not the breaker.
+      RecordBackendSuccess(backend, now);
       return;
     }
-    if (!backend.has_pending_out()) {
-      backend.outbuf.clear();
-      backend.out_sent = 0;
+    if (message.type == kFrameProgress) {
+      Result<ProgressUpdate> update = ParseProgressUpdate(message.bytes);
+      if (!update.ok()) return;
+      auto it = jobs_.find(update->id);
+      if (it != jobs_.end() && (it->second.primary.stream == stream ||
+                                it->second.hedge.stream == stream)) {
+        ForwardProgress(it->second, *update);
+      }
+      return;
     }
-  }
-
-  void PumpBackendProbes() {
-    const double now = MonotonicSeconds();
-    for (auto& [path, backend] : backends_) {
-      if (backend.fd < 0) continue;
-      FlushBackend(backend, now);
-      if (backend.fd < 0) continue;
-      char buf[4096];
-      bool closed_by_peer = false;
-      for (;;) {
-        ssize_t n = ::read(backend.fd, buf, sizeof(buf));
-        if (n > 0) {
-          backend.decoder.Feed(buf, static_cast<size_t>(n));
-          continue;
-        }
-        if (n == 0) {
-          closed_by_peer = true;
-          break;
-        }
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        closed_by_peer = true;
-        break;
-      }
-      for (;;) {
-        ServeMessage message;
-        Result<FrameDecoder::Next> next = backend.decoder.TryNext(&message);
-        if (!next.ok()) {
-          ProbeFailed(backend, now, "malformed probe reply");
-          break;
-        }
-        if (*next == FrameDecoder::Next::kNeedMore) break;
-        if (message.type != kFrameHealth) continue;  // stray frame: ignore
-        Result<HealthReport> report = ParseHealthReport(message.bytes);
-        if (!report.ok() || report->id != backend.probe_id) continue;
-        backend.probe_sent_s = -1.0;
-        backend.serving = report->serving;
-        // Transport-wise the backend is alive; a draining backend is
-        // excluded by the serving flag, not the breaker.
-        RecordBackendSuccess(backend, now);
-      }
-      if (closed_by_peer && backend.fd >= 0) {
-        ProbeFailed(backend, now, "probe connection closed");
-      }
+    if (message.type != kFrameQueryResponse) return;
+    Result<QueryResponse> response = ParseQueryResponse(message.bytes);
+    if (!response.ok()) {
+      // An answer that cannot be read cannot be paired with its call:
+      // the stream is no longer trustworthy, so every call on it fails
+      // over.
+      loop_.Close(stream);
+      LoseStream(stream);
+      return;
     }
+    auto it = jobs_.find(response->id);
+    // No job, or not this stream's call: the late answer of a hedge that
+    // lost or of a query that already expired. Dropped by id.
+    if (it == jobs_.end()) return;
+    RouteJob& job = it->second;
+    const bool is_hedge = job.hedge.stream == stream;
+    if (!is_hedge && job.primary.stream != stream) return;
+    // A backend shed/drain is the router's cue to fail over, exactly like
+    // a dead backend — the client never sees it.
+    if (!response->status.ok() && response->status.IsUnavailable()) {
+      OnCallFailed(job, is_hedge, now);
+      return;
+    }
+    OnCallAnswered(job, is_hedge, std::move(*response), now);
+    jobs_.erase(it);
   }
 
   // ------------------------------------------------------------ breakers --
@@ -612,60 +483,6 @@ class RouteDaemon {
 
   // ------------------------------------------------------------- inbound --
 
-  void PumpFrontConnections() {
-    std::vector<uint64_t> ids;
-    ids.reserve(conns_.size());
-    for (auto& [id, conn] : conns_) ids.push_back(id);
-    for (uint64_t id : ids) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      ReadConn(it->second);
-      it = conns_.find(id);
-      if (it != conns_.end()) FlushConn(it->second);
-    }
-  }
-
-  void ReadConn(FrontConnection& conn) {
-    char buf[65536];
-    bool closed_by_peer = false;
-    for (;;) {
-      ssize_t n = ::read(conn.fd, buf, sizeof(buf));
-      if (n > 0) {
-        conn.last_activity_s = MonotonicSeconds();
-        conn.decoder.Feed(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        closed_by_peer = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      closed_by_peer = true;
-      break;
-    }
-    const uint64_t conn_id = conn.id;
-    for (;;) {
-      ServeMessage message;
-      Result<FrameDecoder::Next> next = conn.decoder.TryNext(&message);
-      if (!next.ok()) {
-        metrics_.malformed_frames->Increment();
-        FAIREM_LOG(WARN) << "closing connection on malformed frame"
-                         << LogKv("conn", conn_id)
-                         << LogKv("status", next.status().ToString());
-        CloseConn(conn_id);
-        return;
-      }
-      if (*next == FrameDecoder::Next::kNeedMore) break;
-      HandleMessage(conn_id, message);
-      if (conns_.find(conn_id) == conns_.end()) return;
-    }
-    if (closed_by_peer) {
-      metrics_.client_disconnects->Increment();
-      CloseConn(conn_id);
-    }
-  }
-
   void HandleMessage(uint64_t conn_id, const ServeMessage& message) {
     if (message.type == kFrameHealth) {
       HandleHealthProbe(conn_id, message);
@@ -678,8 +495,7 @@ class RouteDaemon {
     }
     metrics_.queries_total->Increment();
     if (message.type != kFrameQueryRequest) {
-      metrics_.malformed_frames->Increment();
-      CloseConn(conn_id);
+      loop_.Close(conn_id, StreamEnd::kMalformed);
       return;
     }
     Result<QueryRequest> request = ParseQueryRequest(message.bytes);
@@ -716,11 +532,7 @@ class RouteDaemon {
     reply.queue_depth = static_cast<double>(jobs_.size());
     reply.inflight = static_cast<double>(jobs_.size());
     reply.retry_after_s = CurrentRetryAfterS();
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    it->second.outbuf.append(
-        EncodeServeMessage(kFrameHealth, SerializeHealthReport(reply)));
-    FlushConn(it->second);
+    loop_.Send(conn_id, kFrameHealth, SerializeHealthReport(reply));
   }
 
   double CurrentRetryAfterS() const {
@@ -828,28 +640,24 @@ class RouteDaemon {
     return std::string();
   }
 
-  /// Starts `job`'s next attempt on the best untried backend. False when
-  /// every candidate is exhausted (`call` left inactive).
+  /// Starts `job`'s next attempt on the best untried backend, over that
+  /// backend's stream. False when every candidate is exhausted (`call`
+  /// left inactive).
   bool Dispatch(RouteJob& job, RouteCall* call, double now) {
     while (true) {
       std::string target = PickBackend(job, now);
       if (target.empty()) return false;
       job.tried.push_back(target);
-      Result<int> fd = ConnectUnix(target);
-      if (!fd.ok()) {
-        if (Backend* backend = FindBackend(target)) {
-          RecordBackendFailure(*backend, now);
-        }
+      Backend& backend = *FindBackend(target);
+      if (!EnsureStream(backend)) {
+        RecordBackendFailure(backend, now);
         AppendFailoverSpan(job, target, call == &job.hedge,
                            "connect_failed");
         metrics_.failovers->Increment();
         continue;
       }
-      call->fd = *fd;
       call->backend = target;
-      call->decoder = FrameDecoder();
-      call->outbuf.clear();
-      call->out_sent = 0;
+      call->stream = backend.stream;
       call->started_s = now;
       QueryRequest forwarded = job.request;
       forwarded.id = job.route_id;
@@ -863,9 +671,8 @@ class RouteDaemon {
         call->started_unix_us = UnixMicrosNow();
         forwarded.trace.parent_span_id = call->span_id;
       }
-      call->outbuf.append(EncodeServeMessage(
-          kFrameQueryRequest, SerializeQueryRequest(forwarded)));
-      FlushCall(*call);
+      loop_.Send(backend.stream, kFrameQueryRequest,
+                 SerializeQueryRequest(forwarded));
       return true;
     }
   }
@@ -896,112 +703,12 @@ class RouteDaemon {
 
   // ------------------------------------------------------- call lifecycle --
 
-  void CloseCall(RouteCall* call) {
-    if (call->fd >= 0) ::close(call->fd);
-    call->fd = -1;
-    call->outbuf.clear();
-    call->out_sent = 0;
-  }
-
   /// Forwards a backend's advisory PROG frame to the job's client, with
   /// the correlation id rewritten from the router's to the client's.
-  void ForwardProgress(RouteJob& job, const std::string& bytes) {
-    Result<ProgressUpdate> update = ParseProgressUpdate(bytes);
-    if (!update.ok() || update->id != job.route_id) return;
-    auto it = conns_.find(job.conn_id);
-    if (it == conns_.end()) return;
-    ProgressUpdate forwarded = *update;
-    forwarded.id = job.request.id;
-    if (forwarded.trace_id.empty()) forwarded.trace_id = job.trace_hex;
-    it->second.outbuf.append(EncodeServeMessage(
-        kFrameProgress, SerializeProgressUpdate(forwarded)));
-    FlushConn(it->second);
-  }
-
-  /// Pump one call's IO. Returns 0 while pending, +1 with *out filled on a
-  /// definite answer, -1 on transport failure or a backend kUnavailable
-  /// (both mean: try another backend).
-  int PumpCall(RouteCall& call, RouteJob& job, QueryResponse* out) {
-    FlushCall(call);
-    if (!call.active()) return -1;
-    char buf[65536];
-    bool closed_by_peer = false;
-    for (;;) {
-      ssize_t n = ::read(call.fd, buf, sizeof(buf));
-      if (n > 0) {
-        call.decoder.Feed(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        closed_by_peer = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      closed_by_peer = true;
-      break;
-    }
-    for (;;) {
-      ServeMessage message;
-      Result<FrameDecoder::Next> next = call.decoder.TryNext(&message);
-      if (!next.ok()) return -1;
-      if (*next == FrameDecoder::Next::kNeedMore) break;
-      if (message.type == kFrameProgress) {
-        ForwardProgress(job, message.bytes);
-        continue;
-      }
-      if (message.type != kFrameQueryResponse) continue;
-      Result<QueryResponse> response = ParseQueryResponse(message.bytes);
-      if (!response.ok()) return -1;
-      if (response->id != job.route_id) return -1;
-      // A backend shed/drain is the router's cue to fail over, exactly
-      // like a dead backend — the client never sees it.
-      if (!response->status.ok() && response->status.IsUnavailable()) {
-        return -1;
-      }
-      *out = std::move(*response);
-      return 1;
-    }
-    return closed_by_peer ? -1 : 0;
-  }
-
-  void FlushCall(RouteCall& call) {
-    while (call.has_pending_out()) {
-      ssize_t n = ::write(call.fd, call.outbuf.data() + call.out_sent,
-                          call.outbuf.size() - call.out_sent);
-      if (n > 0) {
-        call.out_sent += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      CloseCall(&call);  // EPIPE and friends: the backend went away
-      return;
-    }
-  }
-
-  void PumpCalls() {
-    const double now = MonotonicSeconds();
-    std::vector<uint64_t> ids;
-    ids.reserve(jobs_.size());
-    for (auto& [id, job] : jobs_) ids.push_back(id);
-    for (uint64_t id : ids) {
-      for (bool is_hedge : {false, true}) {
-        auto jt = jobs_.find(id);
-        if (jt == jobs_.end()) break;
-        RouteCall& call = is_hedge ? jt->second.hedge : jt->second.primary;
-        if (!call.active()) continue;
-        QueryResponse response;
-        int outcome = PumpCall(call, jt->second, &response);
-        if (outcome == 0) continue;
-        if (outcome > 0) {
-          OnCallAnswered(jt->second, is_hedge, std::move(response), now);
-          jobs_.erase(id);
-          break;
-        }
-        OnCallFailed(jt->second, is_hedge, now);
-      }
-    }
+  void ForwardProgress(const RouteJob& job, ProgressUpdate update) {
+    update.id = job.request.id;
+    if (update.trace_id.empty()) update.trace_id = job.trace_hex;
+    loop_.Send(job.conn_id, kFrameProgress, SerializeProgressUpdate(update));
   }
 
   /// Closes `call`'s "router.call" span into job.spans with the given
@@ -1086,10 +793,9 @@ class RouteDaemon {
     }
     FinishCallSpan(job, winner, is_hedge, "answered");
     FinishCallSpan(job, loser, !is_hedge, "cancelled");
-    // The loser's answer no longer matters; cancellation is a close. Its
-    // outcome is unknown, so its breaker is left alone.
-    CloseCall(&loser);
-    CloseCall(&winner);
+    // The loser's answer no longer matters: when it arrives it matches no
+    // job and is dropped by id. Its outcome is unknown, so its breaker is
+    // left alone.
     response.id = job.request.id;
     FinishRoutedJob(job, response, now,
                     hedge_won ? "hedge_won" : "primary_won");
@@ -1123,7 +829,7 @@ class RouteDaemon {
     }
     FinishCallSpan(job, failed, is_hedge, "failed");
     AppendFailoverSpan(job, failed.backend, is_hedge, "call_failed");
-    CloseCall(&failed);
+    failed.stream = 0;
     metrics_.failovers->Increment();
     if (!job.rerouted) {
       job.rerouted = true;
@@ -1178,8 +884,6 @@ class RouteDaemon {
       if (job.hedge.active()) metrics_.hedges_lost->Increment();
       FinishCallSpan(job, job.primary, /*is_hedge=*/false, "expired");
       FinishCallSpan(job, job.hedge, /*is_hedge=*/true, "expired");
-      CloseCall(&job.primary);
-      CloseCall(&job.hedge);
       QueryResponse response;
       response.id = job.request.id;
       response.status =
@@ -1199,52 +903,9 @@ class RouteDaemon {
       // error counts as a failed query.
       metrics_.failed_queries->Increment();
     }
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) {
+    if (!loop_.Send(conn_id, kFrameQueryResponse,
+                    SerializeQueryResponse(response))) {
       metrics_.responses_dropped->Increment();
-      return;
-    }
-    it->second.outbuf.append(EncodeServeMessage(
-        kFrameQueryResponse, SerializeQueryResponse(response)));
-    FlushConn(it->second);
-  }
-
-  void FlushConn(FrontConnection& conn) {
-    const uint64_t conn_id = conn.id;
-    while (conn.has_pending_out()) {
-      ssize_t n = ::write(conn.fd, conn.outbuf.data() + conn.out_sent,
-                          conn.outbuf.size() - conn.out_sent);
-      if (n > 0) {
-        conn.out_sent += static_cast<size_t>(n);
-        conn.last_activity_s = MonotonicSeconds();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      metrics_.client_disconnects->Increment();
-      CloseConn(conn_id);
-      return;
-    }
-    if (!conn.has_pending_out()) {
-      conn.outbuf.clear();
-      conn.out_sent = 0;
-    }
-  }
-
-  void CloseSlowClients(double now) {
-    std::vector<uint64_t> slow;
-    for (auto& [id, conn] : conns_) {
-      const bool mid_frame = conn.decoder.buffered() > 0;
-      const bool undelivered = conn.has_pending_out();
-      if (!mid_frame && !undelivered) continue;
-      if (now - conn.last_activity_s > options_.io_timeout_s) {
-        slow.push_back(id);
-      }
-    }
-    for (uint64_t id : slow) {
-      metrics_.slow_client_closes->Increment();
-      FAIREM_LOG(WARN) << "closing slow client" << LogKv("conn", id);
-      CloseConn(id);
     }
   }
 
@@ -1254,32 +915,15 @@ class RouteDaemon {
     draining_ = true;
     FAIREM_LOG(WARN) << "drain requested"
                      << LogKv("signal", ShutdownGuard::signal_number())
-                     << LogKv("inflight", jobs_.size())
-                     << LogKv("connections", conns_.size());
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    ::unlink(options_.socket_path.c_str());
+                     << LogKv("inflight", jobs_.size());
+    loop_.StopListening();
     // In-flight routed queries finish, fail over, or deadline out — the
     // loop keeps pumping them; only new arrivals are shed.
   }
 
-  bool DrainComplete() const {
-    if (!jobs_.empty()) return false;
-    for (const auto& [id, conn] : conns_) {
-      if (conn.has_pending_out()) return false;
-    }
-    return true;
-  }
-
   void FinishDrain() {
-    for (auto& [id, conn] : conns_) ::close(conn.fd);
-    conns_.clear();
-    for (auto& [path, backend] : backends_) {
-      if (backend.fd >= 0) ::close(backend.fd);
-      backend.fd = -1;
-    }
+    loop_.CloseAll();
+    for (auto& [path, backend] : backends_) backend.stream = 0;
     UpdateGauges(MonotonicSeconds());
     metrics_.shutdowns->Increment();
     if (!options_.metrics_path.empty()) {
@@ -1300,7 +944,6 @@ class RouteDaemon {
     metrics_.backends_usable->Set(
         static_cast<double>(UsableBackendCount(now)));
     metrics_.inflight_jobs->Set(static_cast<double>(jobs_.size()));
-    metrics_.connections->Set(static_cast<double>(conns_.size()));
     for (auto& [path, backend] : backends_) {
       backend.state_gauge->Set(
           static_cast<double>(backend.breaker.state(now)));
@@ -1311,12 +954,10 @@ class RouteDaemon {
   RouteMetrics metrics_;
   SlowQueryLogger slowlog_;
   Rng rng_;
-  int listen_fd_ = -1;
-  uint64_t next_conn_id_ = 0;
+  EventLoop loop_;
   uint64_t route_sequence_ = 0;
   uint64_t probe_sequence_ = 0;
   bool draining_ = false;
-  std::map<uint64_t, FrontConnection> conns_;
   std::map<std::string, Backend> backends_;
   std::map<uint64_t, RouteJob> jobs_;
 };
@@ -1368,7 +1009,6 @@ Status RunRouteDaemon(const RouteOptions& options) {
   if (normalized.max_inflight_jobs < 1) normalized.max_inflight_jobs = 1;
   if (normalized.health_period_s <= 0.0) normalized.health_period_s = 0.5;
   if (normalized.health_timeout_s <= 0.0) normalized.health_timeout_s = 2.0;
-  if (normalized.poll_interval_s <= 0.0) normalized.poll_interval_s = 0.01;
   if (normalized.hedge_quantile <= 0.0 || normalized.hedge_quantile > 1.0) {
     normalized.hedge_quantile = 0.95;
   }

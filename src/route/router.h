@@ -20,9 +20,12 @@ namespace fairem {
 //     RendezvousRank and the highest usable one wins, so cache warmth
 //     survives membership changes — adding or removing a backend only
 //     moves the keys that hashed to it, never reshuffles the rest.
+//   * One stream per backend: a persistent connection carries both the
+//     health probes and every routed call; answers and PROG frames are
+//     matched to calls by the router's correlation id.
 //   * Health checks: every backend gets an active HLTH probe on a jittered
-//     period over a persistent connection; a probe timeout or transport
-//     error counts against the backend like a failed query.
+//     period over its stream; a probe timeout or transport error counts
+//     against the backend like a failed query.
 //   * Circuit breakers: consecutive failures (probes or queries) open a
 //     per-backend breaker; while open the backend is skipped at routing
 //     time. Probes keep flowing regardless, so a recovered backend closes
@@ -32,17 +35,19 @@ namespace fairem {
 //     the next-ranked backend it has not tried yet, within its deadline.
 //   * Hedging: when enabled, a query still unanswered after a delay
 //     derived from the observed backend-call p95 gets a second request on
-//     a different backend; the first answer wins and the loser is
-//     cancelled. Tames tail latency from a slow-but-alive backend.
+//     a different backend; the first answer wins and the loser's late
+//     answer is dropped by id (its worker still computes: there is no
+//     cancel message on the wire). Tames tail latency from a
+//     slow-but-alive backend.
 //   * Graceful degradation: when every backend for a cell is exhausted, a
 //     cell query returns the structured error-entry answer (the paper's
 //     Table 9 "-" semantics) instead of hanging or dropping.
 //   * Live membership: SIGHUP re-reads `backends_file` and applies
 //     adds/removes in place; surviving backends keep their breaker and
-//     probe state.
+//     stream, and calls on a removed backend fail over.
 //
-// Same architecture as the daemon (DESIGN.md §14): one poll() loop, no
-// threads, bounded admission, end-to-end deadlines, cooperative
+// Same event loop as the daemon (src/serve/event_loop.h, DESIGN.md §14): one
+// poll() loop, no threads, bounded admission, end-to-end deadlines, cooperative
 // SIGTERM/SIGINT drain, durable final metrics. Metrics land under
 // fairem.route.*.
 
@@ -82,11 +87,9 @@ struct RouteOptions {
   double io_timeout_s = 10.0;
   /// Base backoff hint shipped with kUnavailable sheds.
   double retry_after_s = 0.05;
-  double poll_interval_s = 0.01;
   /// When non-empty, the final metrics snapshot is written here durably as
   /// the last step of the drain.
   std::string metrics_path;
-  int listen_backlog = 64;
   /// Slow-query log (DESIGN.md §16): routed queries slower than
   /// slow_query_ms end-to-end get one wide-event JSON line (trace id, op,
   /// key, status, span breakdown) appended to slow_query_log, rate-limited.

@@ -1,62 +1,24 @@
 #include "src/serve/client.h"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "src/util/io_util.h"
 
 namespace fairem {
-namespace {
-
-Result<int> ConnectOnce(const std::string& socket_path) {
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (socket_path.empty() || socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("client: socket path empty or too long: '" +
-                                   socket_path + "'");
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("client: socket failed: ") +
-                           std::strerror(errno));
-  }
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    int saved = errno;
-    ::close(fd);
-    // ENOENT (socket not bound yet) and ECONNREFUSED (bound, not yet
-    // listening, or a dead daemon's stale file) both mean "not up (yet)".
-    if (saved == ENOENT || saved == ECONNREFUSED || saved == EAGAIN) {
-      return Status::Unavailable(std::string("daemon not up: ") +
-                                 std::strerror(saved));
-    }
-    return Status::IOError("client: connect('" + socket_path +
-                           "') failed: " + std::strerror(saved));
-  }
-  return fd;
-}
-
-}  // namespace
 
 Result<ServeClient> ServeClient::Connect(const std::string& socket_path,
                                          const ServeClientOptions& options) {
   const double start = retry_internal::MonotonicSeconds();
-  Result<int> fd = ConnectOnce(socket_path);
+  // kUnavailable (nothing bound yet, or bound but not listening) means
+  // "not up yet": keep trying until the timeout.
+  Result<int> fd = ConnectUnix(socket_path);
   while (!fd.ok() && fd.status().IsUnavailable() &&
          retry_internal::MonotonicSeconds() - start <
              options.connect_timeout_s) {
     retry_internal::SleepSeconds(0.01);
-    fd = ConnectOnce(socket_path);
+    fd = ConnectUnix(socket_path);
   }
   FAIREM_RETURN_NOT_OK(fd.status());
   ServeClient client;

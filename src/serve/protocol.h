@@ -126,6 +126,9 @@ std::string EncodeServeMessage(const std::string& type,
 
 /// Blocking client-side helpers with per-IO deadlines (kDeadlineExceeded on
 /// expiry, kUnavailable on peer disconnect — see src/util/io_util.h).
+/// ReadServeMessage runs a FrameDecoder over exactly the bytes it asks for
+/// (FrameDecoder::wanted), so both readers share one parse path and the
+/// blocking one never consumes bytes of the next message.
 Status WriteServeMessage(int fd, const std::string& type,
                          const std::string& bytes, double timeout_s);
 Result<ServeMessage> ReadServeMessage(int fd, double timeout_s);
@@ -147,10 +150,15 @@ class FrameDecoder {
   /// Bytes currently buffered (bounded by kMaxServeFrameBytes + header).
   size_t buffered() const { return buf_.size() - consumed_; }
 
+  /// After kNeedMore: how many more bytes the decoder needs before it can
+  /// make progress. Never more than the rest of the current message.
+  size_t wanted() const { return wanted_; }
+
  private:
   std::string buf_;
   size_t consumed_ = 0;    // parsed-and-discarded prefix of buf_
   bool saw_magic_ = false; // magic precedes every message
+  size_t wanted_ = 0;
 };
 
 }  // namespace fairem

@@ -1,17 +1,10 @@
 #include "src/serve/server.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <deque>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -22,6 +15,7 @@
 #include "src/obs/trace.h"
 #include "src/robust/supervisor.h"
 #include "src/robust/worker_process.h"
+#include "src/serve/event_loop.h"
 #include "src/serve/protocol.h"
 #include "src/util/durable_file.h"
 #include "src/util/io_util.h"
@@ -29,12 +23,6 @@
 
 namespace fairem {
 namespace {
-
-using SteadyClock = std::chrono::steady_clock;
-
-double Since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
-}
 
 Result<MatcherKind> MatcherForName(const std::string& name) {
   for (MatcherKind kind : AllMatcherKinds()) {
@@ -44,11 +32,6 @@ Result<MatcherKind> MatcherForName(const std::string& name) {
 }
 
 struct ServeMetrics {
-  Counter* accepted;
-  Counter* closed;
-  Counter* client_disconnects;
-  Counter* slow_client_closes;
-  Counter* malformed_frames;
   Counter* requests_total;
   Counter* requests_ok;
   Counter* requests_failed;
@@ -65,7 +48,6 @@ struct ServeMetrics {
   Counter* progress_frames;
   Gauge* queue_depth;
   Gauge* inflight;
-  Gauge* connections;
   Histogram* request_seconds;
   /// Finished cell compute durations — shared with ProgressReporter's ETA
   /// metric so batch runs and the daemon pool one duration model.
@@ -74,11 +56,6 @@ struct ServeMetrics {
   static ServeMetrics Make() {
     MetricsRegistry& reg = MetricsRegistry::Global();
     ServeMetrics m;
-    m.accepted = reg.GetCounter("fairem.serve.connections_accepted");
-    m.closed = reg.GetCounter("fairem.serve.connections_closed");
-    m.client_disconnects = reg.GetCounter("fairem.serve.client_disconnects");
-    m.slow_client_closes = reg.GetCounter("fairem.serve.slow_client_closes");
-    m.malformed_frames = reg.GetCounter("fairem.serve.malformed_frames");
     m.requests_total = reg.GetCounter("fairem.serve.requests_total");
     m.requests_ok = reg.GetCounter("fairem.serve.requests_ok");
     m.requests_failed = reg.GetCounter("fairem.serve.requests_failed");
@@ -95,241 +72,136 @@ struct ServeMetrics {
     m.progress_frames = reg.GetCounter("fairem.serve.progress_frames");
     m.queue_depth = reg.GetGauge("fairem.serve.queue_depth");
     m.inflight = reg.GetGauge("fairem.serve.inflight");
-    m.connections = reg.GetGauge("fairem.serve.connections");
     m.request_seconds = reg.GetHistogram("fairem.serve.request_seconds");
     m.cell_seconds = reg.GetHistogram("fairem.progress.cell_seconds");
     return m;
   }
 };
 
-struct Connection {
-  int fd = -1;
-  uint64_t id = 0;
-  FrameDecoder decoder;
-  std::string outbuf;
-  size_t out_sent = 0;
-  SteadyClock::time_point last_activity;
-  bool close_after_flush = false;
+/// One client's cell query. Concurrent misses on one key are waiters of
+/// the same QueryJob: each keeps its own connection, correlation id,
+/// deadline and trace, and each gets the bytes of the one compute.
+struct Waiter {
+  uint64_t conn_id = 0;
+  QueryRequest request;  // request.trace is the query's trace context
+  double admitted_s = 0.0;
+  double deadline_s = 0.0;  // absolute, monotonic
+  // Tracing state (DESIGN.md §16). Every field below stays inert for an
+  // untraced query — zero extra bytes on the wire.
+  std::string trace_hex;         // cached request.trace.TraceIdHex()
+  uint64_t request_span_id = 0;  // "daemon.request"; this waiter's daemon
+                                 // and worker spans parent under it
+  int64_t admitted_unix_us = 0;
+  double last_progress_s = 0.0;  // monotonic; rate-limits PROG frames
+  std::vector<WireSpan> spans;   // completed spans, shipped on the QRSP
 
-  bool has_pending_out() const { return out_sent < outbuf.size(); }
+  bool traced() const { return request.trace.valid(); }
 };
 
+/// One cell compute: queued, then running in a forked worker.
 struct QueryJob {
-  uint64_t conn_id = 0;
-  QueryRequest request;
   std::string key;
   MatcherKind matcher = MatcherKind::kDT;
   bool pairwise = false;
   const EMDataset* dataset = nullptr;
-  SteadyClock::time_point admitted;
-  SteadyClock::time_point deadline;
+  /// The latest deadline among the waiters: the worker runs until the
+  /// last of them stops listening.
+  double deadline_s = 0.0;
   int attempts = 0;
   bool timed_out = false;
-  WorkerProcess proc;  // valid while in flight
-  // Tracing state (DESIGN.md §16). ctx is invalid for untraced queries and
-  // every field below stays inert then — zero extra bytes on the wire.
-  TraceContext ctx;
-  std::string trace_hex;         // cached ctx.TraceIdHex()
-  uint64_t request_span_id = 0;  // "daemon.request"; daemon/worker spans
-                                 // parent under it
-  int64_t admitted_unix_us = 0;
-  pid_t worker_pid = 0;          // survives the reap (proc.pid() is -1 then)
-  double last_progress_s = 0.0;  // monotonic; rate-limits PROG frames
-  std::vector<WireSpan> spans;   // completed spans, shipped on the QRSP
+  WorkerProcess proc;     // valid while in flight
+  pid_t worker_pid = 0;   // survives the reap (proc.pid() is -1 then)
+  std::vector<Waiter> waiters;
 };
+
+/// A completed span on the daemon's own track, parented under the waiter's
+/// "daemon.request" hop span. `start_unix_us` is when it began; the end is
+/// now.
+WireSpan DaemonSpan(const Waiter& waiter, const char* name,
+                    int64_t start_unix_us) {
+  WireSpan span;
+  span.name = name;
+  span.process = "daemon";
+  span.pid = static_cast<int64_t>(::getpid());
+  span.span_id = NewSpanId();
+  span.parent_span_id = waiter.request_span_id;
+  span.start_unix_us = start_unix_us;
+  const int64_t now_us = UnixMicrosNow();
+  span.duration_us = now_us > start_unix_us ? now_us - start_unix_us : 0;
+  return span;
+}
 
 class ServeDaemon {
  public:
-  ServeDaemon(const ServeOptions& options)
+  explicit ServeDaemon(const ServeOptions& options)
       : options_(options),
         metrics_(ServeMetrics::Make()),
         slowlog_(options.slow_query_log, options.slow_query_ms),
-        epoch_(SteadyClock::now()) {}
+        loop_("fairem.serve", options.io_timeout_s) {}
 
   ~ServeDaemon() {
-    for (auto& [id, conn] : conns_) ::close(conn.fd);
     for (QueryJob& job : inflight_) job.proc.KillAndReap();
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (!options_.socket_path.empty()) {
-      ::unlink(options_.socket_path.c_str());
-    }
   }
 
   Status Run() {
     // Bind + listen FIRST: clients arriving during the (potentially long)
     // warmup queue in the kernel backlog instead of getting ECONNREFUSED.
-    FAIREM_RETURN_NOT_OK(Listen());
+    FAIREM_RETURN_NOT_OK(loop_.Listen(options_.socket_path));
     FAIREM_ASSIGN_OR_RETURN(warm_, WarmState::Warm(options_.warm));
     FAIREM_LOG(INFO) << "fairem serve ready"
                      << LogKv("socket", options_.socket_path)
                      << LogKv("datasets", warm_.num_datasets())
                      << LogKv("cells_preloaded", warm_.num_cached_cells());
-    while (true) {
-      if (ShutdownGuard::requested() && !draining_) BeginDrain();
-      ExpireQueuedJobs();
-      Dispatch();
-      if (draining_ && DrainComplete()) break;
-      PollOnce();
-      AcceptPending();
-      PumpConnections();
-      PumpWorkers();
-      EmitProgress();
-      CloseSlowClients();
-      UpdateGauges();
-    }
+    EventLoop::Handlers handlers;
+    handlers.on_message = [this](uint64_t conn, const ServeMessage& message) {
+      HandleMessage(conn, message);
+    };
+    handlers.tick = [this](double now, EventLoop::Pass* pass) {
+      Tick(now, pass);
+    };
+    loop_.Run(handlers);
     FinishDrain();
     return Status::OK();
   }
 
  private:
-  Status Listen() {
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    if (options_.socket_path.empty() ||
-        options_.socket_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("serve: socket path empty or too long: '" +
-                                     options_.socket_path + "'");
-    }
-    std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-                options_.socket_path.size() + 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      return Status::IOError(std::string("serve: socket failed: ") +
-                             std::strerror(errno));
-    }
-    // A stale path from a dead daemon would fail the bind; a live daemon
-    // accepts connections, so probing would be racy — replacing is the
-    // conventional single-instance-per-path policy.
-    ::unlink(options_.socket_path.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return Status::IOError("serve: bind failed for '" +
-                             options_.socket_path +
-                             "': " + std::strerror(errno));
-    }
-    if (::listen(listen_fd_, options_.listen_backlog) != 0) {
-      return Status::IOError(std::string("serve: listen failed: ") +
-                             std::strerror(errno));
-    }
-    SetNonblocking(listen_fd_);
-    return Status::OK();
-  }
-
-  static void SetNonblocking(int fd) {
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-
-  void PollOnce() {
-    std::vector<pollfd> fds;
-    fds.reserve(1 + conns_.size() + inflight_.size());
-    if (!draining_ && listen_fd_ >= 0) {
-      fds.push_back({listen_fd_, POLLIN, 0});
-    }
-    for (auto& [id, conn] : conns_) {
-      short events = POLLIN;
-      if (conn.has_pending_out()) events |= POLLOUT;
-      fds.push_back({conn.fd, events, 0});
+  void Tick(double now, EventLoop::Pass* pass) {
+    if (ShutdownGuard::requested() && !draining_) BeginDrain();
+    PumpWorkers(now);
+    ExpireQueuedJobs(now);
+    Dispatch();
+    EmitProgress(now);
+    UpdateGauges();
+    if (draining_ && inflight_.empty() && loop_.Flushed()) {
+      pass->stop = true;
+      return;
     }
     for (QueryJob& job : inflight_) {
       if (job.proc.pipe_fd() >= 0) {
-        fds.push_back({job.proc.pipe_fd(), POLLIN, 0});
+        pass->watch_fds.push_back(job.proc.pipe_fd());
       }
     }
-    int timeout_ms =
-        static_cast<int>(options_.poll_interval_s * 1000.0);
-    if (timeout_ms < 1) timeout_ms = 1;
-    // EINTR (a drain signal landing) just re-enters the loop, which checks
-    // ShutdownGuard at the top.
-    (void)::poll(fds.empty() ? nullptr : fds.data(),
-                 static_cast<nfds_t>(fds.size()), timeout_ms);
+    pass->wait_s = NextTimerS(now);
   }
 
-  void AcceptPending() {
-    if (draining_ || listen_fd_ < 0) return;
-    for (;;) {
-      int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN or a transient accept error: retry next loop
+  /// Seconds until the next waiter deadline or PROG frame falls due.
+  double NextTimerS(double now) const {
+    double wait = EventLoop::kMaxWaitS;
+    auto consider = [&](const QueryJob& job) {
+      for (const Waiter& waiter : job.waiters) {
+        if (!job.timed_out) wait = std::min(wait, waiter.deadline_s - now);
+        if (waiter.traced() && options_.progress_interval_s > 0.0) {
+          wait = std::min(wait, waiter.last_progress_s +
+                                    options_.progress_interval_s - now);
+        }
       }
-      SetNonblocking(fd);
-      Connection conn;
-      conn.fd = fd;
-      conn.id = ++next_conn_id_;
-      conn.last_activity = SteadyClock::now();
-      metrics_.accepted->Increment();
-      conns_.emplace(conn.id, std::move(conn));
-    }
-  }
-
-  void CloseConn(uint64_t conn_id) {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    ::close(it->second.fd);
-    conns_.erase(it);
-    metrics_.closed->Increment();
+    };
+    for (const QueryJob& job : queue_) consider(job);
+    for (const QueryJob& job : inflight_) consider(job);
+    return wait;
   }
 
   // ------------------------------------------------------------- inbound --
-
-  void PumpConnections() {
-    // Snapshot ids: handlers can close connections while we iterate.
-    std::vector<uint64_t> ids;
-    ids.reserve(conns_.size());
-    for (auto& [id, conn] : conns_) ids.push_back(id);
-    for (uint64_t id : ids) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      ReadConn(it->second);
-      it = conns_.find(id);
-      if (it != conns_.end()) FlushConn(it->second);
-    }
-  }
-
-  void ReadConn(Connection& conn) {
-    char buf[65536];
-    bool closed_by_peer = false;
-    for (;;) {
-      ssize_t n = ::read(conn.fd, buf, sizeof(buf));
-      if (n > 0) {
-        conn.last_activity = SteadyClock::now();
-        conn.decoder.Feed(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        closed_by_peer = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      closed_by_peer = true;  // ECONNRESET and friends
-      break;
-    }
-    const uint64_t conn_id = conn.id;
-    for (;;) {
-      ServeMessage message;
-      Result<FrameDecoder::Next> next = conn.decoder.TryNext(&message);
-      if (!next.ok()) {
-        // A corrupt length-prefixed stream cannot be resynchronized; all
-        // we owe the peer is a prompt close instead of a hang.
-        metrics_.malformed_frames->Increment();
-        FAIREM_LOG(WARN) << "closing connection on malformed frame"
-                         << LogKv("conn", conn_id)
-                         << LogKv("status", next.status().ToString());
-        CloseConn(conn_id);
-        return;
-      }
-      if (*next == FrameDecoder::Next::kNeedMore) break;
-      HandleMessage(conn_id, message);
-      if (conns_.find(conn_id) == conns_.end()) return;
-    }
-    if (closed_by_peer) {
-      metrics_.client_disconnects->Increment();
-      CloseConn(conn_id);
-    }
-  }
 
   void HandleMessage(uint64_t conn_id, const ServeMessage& message) {
     if (message.type == kFrameHealth) {
@@ -349,8 +221,7 @@ class ServeDaemon {
     metrics_.requests_total->Increment();
     if (message.type != kFrameQueryRequest) {
       // A response frame sent at a server is a confused peer; drop it.
-      metrics_.malformed_frames->Increment();
-      CloseConn(conn_id);
+      loop_.Close(conn_id, StreamEnd::kMalformed);
       return;
     }
     Result<QueryRequest> request = ParseQueryRequest(message.bytes);
@@ -394,11 +265,7 @@ class ServeDaemon {
     reply.queue_depth = static_cast<double>(queue_.size());
     reply.inflight = static_cast<double>(inflight_.size());
     reply.retry_after_s = CurrentRetryAfterS();
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    it->second.outbuf.append(
-        EncodeServeMessage(kFrameHealth, SerializeHealthReport(reply)));
-    FlushConn(it->second);
+    loop_.Send(conn_id, kFrameHealth, SerializeHealthReport(reply));
   }
 
   double CurrentRetryAfterS() const {
@@ -467,10 +334,37 @@ class ServeDaemon {
       Respond(conn_id, response);
       return;
     }
-    // Overload shedding: the queue is the bounded resource. Past the
-    // bound the honest answer is an immediate retryable refusal, not an
-    // ever-growing latency tail.
-    if (static_cast<int>(queue_.size()) >= options_.max_queue) {
+    const double now = MonotonicSeconds();
+    Waiter waiter;
+    waiter.conn_id = conn_id;
+    waiter.request = request;
+    waiter.admitted_s = now;
+    waiter.deadline_s =
+        now + (request.deadline_s > 0.0
+                   ? std::min(request.deadline_s, options_.max_deadline_s)
+                   : options_.default_deadline_s);
+    if (waiter.traced()) {
+      waiter.trace_hex = request.trace.TraceIdHex();
+      // Pre-mint the hop span id so children (queue wait, worker spans)
+      // can parent under it before the span itself finishes.
+      waiter.request_span_id = NewSpanId();
+      waiter.admitted_unix_us = admit_unix_us;
+      waiter.last_progress_s = now;  // first PROG after one full interval
+    }
+    // A miss on a key that is already queued or computing joins that job:
+    // one compute answers every concurrent asker, and a join takes no
+    // admission slot.
+    if (QueryJob* pending = FindJob(key)) {
+      pending->deadline_s = std::max(pending->deadline_s, waiter.deadline_s);
+      pending->waiters.push_back(std::move(waiter));
+      return;
+    }
+    // Overload shedding: the queue is the bounded resource, and it holds
+    // work only while every worker slot is busy. Past the bound the honest
+    // answer is an immediate retryable refusal, not an ever-growing
+    // latency tail.
+    if (static_cast<int>(inflight_.size()) >= options_.max_inflight &&
+        static_cast<int>(queue_.size()) >= options_.max_queue) {
       metrics_.shed_queue_full->Increment();
       response.status = Status::Unavailable("admission queue full");
       // Load-aware hint: the fuller the daemon, the longer clients should
@@ -481,67 +375,52 @@ class ServeDaemon {
       Respond(conn_id, response);
       return;
     }
-    double deadline_s = request.deadline_s > 0.0
-                            ? std::min(request.deadline_s,
-                                       options_.max_deadline_s)
-                            : options_.default_deadline_s;
     QueryJob job;
-    job.conn_id = conn_id;
-    job.request = request;
     job.key = key;
     job.matcher = *matcher;
     job.pairwise = pairwise;
     job.dataset = *dataset;
-    job.admitted = SteadyClock::now();
-    job.deadline =
-        job.admitted + std::chrono::duration_cast<SteadyClock::duration>(
-                           std::chrono::duration<double>(deadline_s));
-    if (request.trace.valid()) {
-      job.ctx = request.trace;
-      job.trace_hex = request.trace.TraceIdHex();
-      // Pre-mint the hop span id so children (queue wait, worker spans)
-      // can parent under it before the span itself finishes in FinishJob.
-      job.request_span_id = NewSpanId();
-      job.admitted_unix_us = admit_unix_us;
-      job.last_progress_s = NowS();  // first PROG after one full interval
-    }
+    job.deadline_s = waiter.deadline_s;
+    job.waiters.push_back(std::move(waiter));
     queue_.push_back(std::move(job));
+    // Dispatch on admit: a free worker slot takes the job now, so the
+    // next arrival's shed check sees the true queue.
+    Dispatch();
+  }
+
+  /// The queued or computing job for `key` that a new waiter can join.
+  QueryJob* FindJob(const std::string& key) {
+    for (QueryJob& job : queue_) {
+      if (job.key == key) return &job;
+    }
+    for (QueryJob& job : inflight_) {
+      if (job.key == key && !job.timed_out) return &job;
+    }
+    return nullptr;
   }
 
   // ---------------------------------------------------------- scheduling --
 
-  void ExpireQueuedJobs() {
-    auto now = SteadyClock::now();
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (now < it->deadline) {
+  /// Answers every waiter of `job` whose own deadline has passed.
+  void ExpireWaiters(QueryJob& job, double now, const char* message) {
+    for (auto it = job.waiters.begin(); it != job.waiters.end();) {
+      if (now < it->deadline_s) {
         ++it;
         continue;
       }
       metrics_.deadline_expired->Increment();
       QueryResponse response;
-      response.id = it->request.id;
-      response.status =
-          Status::DeadlineExceeded("deadline expired while queued");
-      FinishJob(*it, response);
-      it = queue_.erase(it);
+      response.status = Status::DeadlineExceeded(message);
+      FinishWaiter(job, *it, response);
+      it = job.waiters.erase(it);
     }
   }
 
-  /// A completed span on the daemon's own track, parented under the job's
-  /// "daemon.request" hop span. `start_unix_us` is when it began; the end
-  /// is now.
-  static WireSpan DaemonSpan(const QueryJob& job, const char* name,
-                             int64_t start_unix_us) {
-    WireSpan span;
-    span.name = name;
-    span.process = "daemon";
-    span.pid = static_cast<int64_t>(::getpid());
-    span.span_id = NewSpanId();
-    span.parent_span_id = job.request_span_id;
-    span.start_unix_us = start_unix_us;
-    const int64_t now_us = UnixMicrosNow();
-    span.duration_us = now_us > start_unix_us ? now_us - start_unix_us : 0;
-    return span;
+  void ExpireQueuedJobs(double now) {
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      ExpireWaiters(*it, now, "deadline expired while queued");
+      it = it->waiters.empty() ? queue_.erase(it) : it + 1;
+    }
   }
 
   void Dispatch() {
@@ -549,14 +428,15 @@ class ServeDaemon {
            !queue_.empty()) {
       QueryJob job = std::move(queue_.front());
       queue_.pop_front();
-      if (job.ctx.valid()) {
-        job.spans.push_back(
-            DaemonSpan(job, "daemon.queue", job.admitted_unix_us));
+      for (Waiter& waiter : job.waiters) {
+        if (waiter.traced()) {
+          waiter.spans.push_back(
+              DaemonSpan(waiter, "daemon.queue", waiter.admitted_unix_us));
+        }
       }
       Status started = StartJob(&job);
       if (!started.ok()) {
         QueryResponse response;
-        response.id = job.request.id;
         response.status = started;
         FinishJob(job, response);
         continue;
@@ -579,8 +459,7 @@ class ServeDaemon {
     // workers and respawns must not replay the parent's exact draws.
     spawn.failpoint_reseed = ++spawn_sequence_;
     spawn.ship_failpoint = "serve_ship";
-    spawn.close_in_child.push_back(listen_fd_);
-    for (auto& [id, conn] : conns_) spawn.close_in_child.push_back(conn.fd);
+    loop_.AppendFds(&spawn.close_in_child);
     for (QueryJob& other : inflight_) {
       if (other.proc.pipe_fd() >= 0) {
         spawn.close_in_child.push_back(other.proc.pipe_fd());
@@ -590,7 +469,7 @@ class ServeDaemon {
     const MatcherKind matcher = job->matcher;
     const bool pairwise = job->pairwise;
     const uint64_t seed = options_.warm.seed;
-    const int64_t fork_start_us = job->ctx.valid() ? UnixMicrosNow() : 0;
+    const int64_t fork_start_us = UnixMicrosNow();
     FAIREM_ASSIGN_OR_RETURN(
         job->proc,
         WorkerProcess::Spawn(
@@ -604,13 +483,14 @@ class ServeDaemon {
             },
             spawn));
     job->worker_pid = job->proc.pid();
-    if (job->ctx.valid()) {
-      WireSpan fork_span = DaemonSpan(*job, "worker.fork", fork_start_us);
+    for (Waiter& waiter : job->waiters) {
+      if (!waiter.traced()) continue;
+      WireSpan fork_span = DaemonSpan(waiter, "worker.fork", fork_start_us);
       fork_span.process = "worker";
       fork_span.pid = static_cast<int64_t>(job->worker_pid);
       fork_span.annotations.emplace_back("attempt",
                                          std::to_string(job->attempts));
-      job->spans.push_back(std::move(fork_span));
+      waiter.spans.push_back(std::move(fork_span));
     }
     FAIREM_LOG(DEBUG) << "query worker spawned" << LogKv("key", job->key)
                       << LogKv("pid", job->proc.pid())
@@ -618,8 +498,7 @@ class ServeDaemon {
     return Status::OK();
   }
 
-  void PumpWorkers() {
-    auto now = SteadyClock::now();
+  void PumpWorkers(double now) {
     for (size_t i = 0; i < inflight_.size();) {
       QueryJob& job = inflight_[i];
       job.proc.Drain();
@@ -631,15 +510,20 @@ class ServeDaemon {
         SettleWorker(std::move(finished), status);
         continue;
       }
-      if (!job.timed_out && now >= job.deadline) {
-        // The deadline is end-to-end: however long the query waited in the
-        // queue counts against the compute budget too.
+      if (!job.timed_out && now >= job.deadline_s) {
+        // Every waiter's deadline has passed. The deadline is end-to-end:
+        // however long a query waited in the queue counts against the
+        // compute budget too.
         job.timed_out = true;
-        metrics_.deadline_expired->Increment();
+        metrics_.deadline_expired->Increment(job.waiters.size());
         FAIREM_LOG(WARN) << "query deadline exceeded, killing worker"
                          << LogKv("key", job.key)
                          << LogKv("pid", job.proc.pid());
         job.proc.Kill();
+      } else if (!job.timed_out) {
+        ExpireWaiters(job, now,
+                      "query exceeded its deadline; the compute it shared "
+                      "runs on for a later deadline");
       }
       ++i;
     }
@@ -659,13 +543,7 @@ class ServeDaemon {
       // Feed the ETA model for everyone's PROG frames, traced or not.
       metrics_.cell_seconds->Observe(job.proc.AgeSeconds());
     }
-    if (job.ctx.valid() && job.proc.spawn_unix_us() > 0) {
-      WireSpan compute =
-          DaemonSpan(job, "worker.compute", job.proc.spawn_unix_us());
-      compute.process = "worker";
-      compute.pid = static_cast<int64_t>(job.worker_pid);
-      compute.annotations.emplace_back("attempt",
-                                       std::to_string(job.attempts));
+    if (job.proc.spawn_unix_us() > 0) {
       const char* exit_kind = "crash";
       if (job.timed_out) {
         exit_kind = "killed_deadline";
@@ -675,18 +553,26 @@ class ServeDaemon {
                  WEXITSTATUS(status) == kWorkerExitTaskError) {
         exit_kind = "task_error";
       }
-      compute.annotations.emplace_back("exit", exit_kind);
-      job.spans.push_back(std::move(compute));
+      for (Waiter& waiter : job.waiters) {
+        if (!waiter.traced()) continue;
+        WireSpan compute =
+            DaemonSpan(waiter, "worker.compute", job.proc.spawn_unix_us());
+        compute.process = "worker";
+        compute.pid = static_cast<int64_t>(job.worker_pid);
+        compute.annotations.emplace_back("attempt",
+                                         std::to_string(job.attempts));
+        compute.annotations.emplace_back("exit", exit_kind);
+        waiter.spans.push_back(std::move(compute));
+      }
     }
     QueryResponse response;
-    response.id = job.request.id;
     if (job.timed_out) {
       response.status = Status::DeadlineExceeded(
           "query exceeded its deadline and the worker was killed");
       FinishJob(job, response);
       return;
     }
-    if (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitOk) {
+    if (exited_ok) {
       // Defensive parse: only a well-formed cell is cached and served.
       Result<GridCellCheckpoint> cell = GridCellFromJson(split.payload);
       if (cell.ok()) {
@@ -703,10 +589,7 @@ class ServeDaemon {
     }
     if (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitTaskError) {
       Status shipped = ParseShippedStatus(split.payload);
-      if (RespawnOrFail(std::move(job), shipped,
-                        IsRetryableStatus(shipped))) {
-        return;
-      }
+      RespawnOrFail(std::move(job), shipped, IsRetryableStatus(shipped));
       return;
     }
     // Crash: signal death, _Exit under a failpoint, OOM under RLIMIT_AS,
@@ -720,14 +603,14 @@ class ServeDaemon {
                                              : 0);
     Status crash = Status::Internal("query worker crashed (" + detail +
                                     ") for '" + job.key + "'");
-    (void)RespawnOrFail(std::move(job), crash, /*retryable=*/true);
+    RespawnOrFail(std::move(job), crash, /*retryable=*/true);
   }
 
   /// Respawns the job when budget and deadline allow; otherwise finishes it
-  /// with `failure`. Returns true either way (for symmetry at call sites).
-  bool RespawnOrFail(QueryJob job, const Status& failure, bool retryable) {
+  /// with `failure`.
+  void RespawnOrFail(QueryJob job, const Status& failure, bool retryable) {
     if (retryable && job.attempts < options_.max_attempts &&
-        SteadyClock::now() < job.deadline && !draining_) {
+        MonotonicSeconds() < job.deadline_s && !draining_) {
       metrics_.worker_respawns->Increment();
       FAIREM_LOG(WARN) << "respawning query worker" << LogKv("key", job.key)
                        << LogKv("next_attempt", job.attempts + 1)
@@ -735,35 +618,42 @@ class ServeDaemon {
       Status started = StartJob(&job);
       if (started.ok()) {
         inflight_.push_back(std::move(job));
-        return true;
+        return;
       }
     }
     QueryResponse response;
-    response.id = job.request.id;
     response.status = failure;
     FinishJob(job, response);
-    return true;
   }
 
   // ------------------------------------------------------------ outbound --
 
-  void FinishJob(const QueryJob& job, QueryResponse& response) {
-    const double total_s = Since(job.admitted);
-    metrics_.request_seconds->ObserveWithExemplar(total_s, job.trace_hex);
-    if (job.ctx.valid()) {
+  /// Answers every waiter of `job` with `response` (ids are per waiter).
+  void FinishJob(const QueryJob& job, const QueryResponse& response) {
+    for (const Waiter& waiter : job.waiters) {
+      FinishWaiter(job, waiter, response);
+    }
+  }
+
+  void FinishWaiter(const QueryJob& job, const Waiter& waiter,
+                    QueryResponse response) {
+    response.id = waiter.request.id;
+    const double total_s = MonotonicSeconds() - waiter.admitted_s;
+    metrics_.request_seconds->ObserveWithExemplar(total_s, waiter.trace_hex);
+    if (waiter.traced()) {
       // The hop span last: it closes now, covering admit -> respond.
       WireSpan root;
       root.name = "daemon.request";
       root.process = "daemon";
       root.pid = static_cast<int64_t>(::getpid());
-      root.span_id = job.request_span_id;
-      root.parent_span_id = job.ctx.parent_span_id;
-      root.start_unix_us = job.admitted_unix_us;
+      root.span_id = waiter.request_span_id;
+      root.parent_span_id = waiter.request.trace.parent_span_id;
+      root.start_unix_us = waiter.admitted_unix_us;
       const int64_t now_us = UnixMicrosNow();
-      root.duration_us = now_us > job.admitted_unix_us
-                             ? now_us - job.admitted_unix_us
+      root.duration_us = now_us > waiter.admitted_unix_us
+                             ? now_us - waiter.admitted_unix_us
                              : 0;
-      root.annotations.emplace_back("op", job.request.op);
+      root.annotations.emplace_back("op", waiter.request.op);
       root.annotations.emplace_back("key", job.key);
       root.annotations.emplace_back(
           "status", response.status.ok()
@@ -772,59 +662,56 @@ class ServeDaemon {
       root.annotations.emplace_back("attempts",
                                     std::to_string(job.attempts));
       response.spans.push_back(std::move(root));
-      response.spans.insert(response.spans.end(), job.spans.begin(),
-                            job.spans.end());
+      response.spans.insert(response.spans.end(), waiter.spans.begin(),
+                            waiter.spans.end());
     }
     if (slowlog_.enabled()) {
       SlowQueryEvent event;
       event.process = "daemon";
-      event.trace_id = job.trace_hex;
-      event.id = job.request.id;
-      event.op = job.request.op;
+      event.trace_id = waiter.trace_hex;
+      event.id = waiter.request.id;
+      event.op = waiter.request.op;
       event.key = job.key;
       event.status = response.status.ok()
                          ? "OK"
                          : StatusCodeToString(response.status.code());
       event.total_ms = total_s * 1000.0;
       event.spans = response.spans;
-      slowlog_.MaybeLog(event, NowS());
+      slowlog_.MaybeLog(event, MonotonicSeconds());
     }
-    Respond(job.conn_id, response);
+    Respond(waiter.conn_id, response);
   }
 
   /// Streams advisory PROG frames (progress fraction + ETA) to the clients
   /// of traced in-flight and queued queries, at most one per
   /// progress_interval_s per query. The ETA model is the mean finished
   /// cell duration; with no history yet, fraction 0 / eta -1 ("unknown").
-  void EmitProgress() {
+  void EmitProgress(double now) {
     if (options_.progress_interval_s <= 0.0) return;
-    const double now_s = NowS();
     const uint64_t finished = metrics_.cell_seconds->count();
     const double mean_s =
         finished > 0
             ? metrics_.cell_seconds->sum() / static_cast<double>(finished)
             : -1.0;
-    auto emit = [&](QueryJob& job, const char* stage, double fraction,
+    auto emit = [&](Waiter& waiter, const char* stage, double fraction,
                     double eta_s) {
-      auto it = conns_.find(job.conn_id);
-      if (it == conns_.end()) return;
+      if (!waiter.traced() ||
+          now - waiter.last_progress_s < options_.progress_interval_s) {
+        return;
+      }
+      waiter.last_progress_s = now;
       ProgressUpdate update;
-      update.id = job.request.id;
+      update.id = waiter.request.id;
       update.fraction = fraction;
       update.eta_s = eta_s;
       update.stage = stage;
-      update.trace_id = job.trace_hex;
-      it->second.outbuf.append(EncodeServeMessage(
-          kFrameProgress, SerializeProgressUpdate(update)));
-      FlushConn(it->second);
-      metrics_.progress_frames->Increment();
-      job.last_progress_s = now_s;
+      update.trace_id = waiter.trace_hex;
+      if (loop_.Send(waiter.conn_id, kFrameProgress,
+                     SerializeProgressUpdate(update))) {
+        metrics_.progress_frames->Increment();
+      }
     };
     for (QueryJob& job : inflight_) {
-      if (!job.ctx.valid()) continue;
-      if (now_s - job.last_progress_s < options_.progress_interval_s) {
-        continue;
-      }
       double fraction = 0.0;
       double eta_s = -1.0;
       if (mean_s > 0.0) {
@@ -834,14 +721,14 @@ class ServeDaemon {
         fraction = std::min(0.95, elapsed / mean_s);
         eta_s = std::max(0.0, mean_s - elapsed);
       }
-      emit(job, "compute", fraction, eta_s);
+      for (Waiter& waiter : job.waiters) {
+        emit(waiter, "compute", fraction, eta_s);
+      }
     }
     for (QueryJob& job : queue_) {
-      if (!job.ctx.valid()) continue;
-      if (now_s - job.last_progress_s < options_.progress_interval_s) {
-        continue;
+      for (Waiter& waiter : job.waiters) {
+        emit(waiter, "queued", 0.0, mean_s > 0.0 ? mean_s : -1.0);
       }
-      emit(job, "queued", 0.0, mean_s > 0.0 ? mean_s : -1.0);
     }
   }
 
@@ -851,60 +738,12 @@ class ServeDaemon {
     } else {
       metrics_.requests_failed->Increment();
     }
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) {
+    if (!loop_.Send(conn_id, kFrameQueryResponse,
+                    SerializeQueryResponse(response))) {
       // The client hung up while its query ran. The work was not wasted —
       // a computed cell is already cached — but the bytes have nowhere
       // to go.
       metrics_.responses_dropped->Increment();
-      return;
-    }
-    it->second.outbuf.append(EncodeServeMessage(
-        kFrameQueryResponse, SerializeQueryResponse(response)));
-    FlushConn(it->second);
-  }
-
-  void FlushConn(Connection& conn) {
-    const uint64_t conn_id = conn.id;
-    while (conn.has_pending_out()) {
-      ssize_t n = ::write(conn.fd, conn.outbuf.data() + conn.out_sent,
-                          conn.outbuf.size() - conn.out_sent);
-      if (n > 0) {
-        conn.out_sent += static_cast<size_t>(n);
-        conn.last_activity = SteadyClock::now();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      // EPIPE/ECONNRESET: the client went away — a clean disconnect, not
-      // a daemon error (SIGPIPE is ignored process-wide).
-      metrics_.client_disconnects->Increment();
-      CloseConn(conn_id);
-      return;
-    }
-    if (!conn.has_pending_out()) {
-      conn.outbuf.clear();
-      conn.out_sent = 0;
-      if (conn.close_after_flush) CloseConn(conn_id);
-    }
-  }
-
-  void CloseSlowClients() {
-    std::vector<uint64_t> slow;
-    auto now = SteadyClock::now();
-    for (auto& [id, conn] : conns_) {
-      const bool mid_frame = conn.decoder.buffered() > 0;
-      const bool undelivered = conn.has_pending_out();
-      if (!mid_frame && !undelivered) continue;
-      if (std::chrono::duration<double>(now - conn.last_activity).count() >
-          options_.io_timeout_s) {
-        slow.push_back(id);
-      }
-    }
-    for (uint64_t id : slow) {
-      metrics_.slow_client_closes->Increment();
-      FAIREM_LOG(WARN) << "closing slow client" << LogKv("conn", id);
-      CloseConn(id);
     }
   }
 
@@ -915,21 +754,13 @@ class ServeDaemon {
     FAIREM_LOG(WARN) << "drain requested"
                      << LogKv("signal", ShutdownGuard::signal_number())
                      << LogKv("queued", queue_.size())
-                     << LogKv("inflight", inflight_.size())
-                     << LogKv("connections", conns_.size());
-    // Stop accepting: close AND unlink, so new clients get a fast
-    // ECONNREFUSED/ENOENT instead of queueing behind a dying daemon.
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    ::unlink(options_.socket_path.c_str());
+                     << LogKv("inflight", inflight_.size());
+    loop_.StopListening();
     // Queued-but-unstarted work is shed: retryable, the honest signal to
     // go elsewhere. In-flight work finishes or deadlines out.
     for (QueryJob& job : queue_) {
-      metrics_.shed_draining->Increment();
+      metrics_.shed_draining->Increment(job.waiters.size());
       QueryResponse response;
-      response.id = job.request.id;
       response.status = Status::Unavailable("draining; retry elsewhere");
       response.retry_after_s = options_.retry_after_s;
       FinishJob(job, response);
@@ -937,17 +768,8 @@ class ServeDaemon {
     queue_.clear();
   }
 
-  bool DrainComplete() const {
-    if (!inflight_.empty()) return false;
-    for (const auto& [id, conn] : conns_) {
-      if (conn.has_pending_out()) return false;
-    }
-    return true;
-  }
-
   void FinishDrain() {
-    for (auto& [id, conn] : conns_) ::close(conn.fd);
-    conns_.clear();
+    loop_.CloseAll();
     UpdateGauges();
     metrics_.shutdowns->Increment();
     if (!options_.metrics_path.empty()) {
@@ -967,21 +789,15 @@ class ServeDaemon {
   void UpdateGauges() {
     metrics_.queue_depth->Set(static_cast<double>(queue_.size()));
     metrics_.inflight->Set(static_cast<double>(inflight_.size()));
-    metrics_.connections->Set(static_cast<double>(conns_.size()));
   }
-
-  double NowS() const { return Since(epoch_); }
 
   ServeOptions options_;
   ServeMetrics metrics_;
   SlowQueryLogger slowlog_;
-  SteadyClock::time_point epoch_;
+  EventLoop loop_;
   WarmState warm_;
-  int listen_fd_ = -1;
-  uint64_t next_conn_id_ = 0;
   uint64_t spawn_sequence_ = 0;
   bool draining_ = false;
-  std::map<uint64_t, Connection> conns_;
   std::deque<QueryJob> queue_;
   std::vector<QueryJob> inflight_;
 };
@@ -1012,7 +828,6 @@ Status RunServeDaemon(const ServeOptions& options) {
   if (normalized.max_inflight < 1) normalized.max_inflight = 1;
   if (normalized.max_queue < 0) normalized.max_queue = 0;
   if (normalized.max_attempts < 1) normalized.max_attempts = 1;
-  if (normalized.poll_interval_s <= 0.0) normalized.poll_interval_s = 0.01;
   ServeDaemon daemon(normalized);
   return daemon.Run();
 }

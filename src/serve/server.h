@@ -14,8 +14,9 @@ namespace fairem {
 // protocol in src/serve/protocol.h. Robustness posture (DESIGN.md §14):
 //
 //   * Bounded admission: at most `max_inflight` queries compute at once and
-//     at most `max_queue` wait; past that, requests are shed immediately
-//     with a retryable kUnavailable carrying a retry_after_s hint.
+//     at most `max_queue` wait (the queue holds work only while every
+//     worker slot is busy); past that, requests are shed immediately with a
+//     retryable kUnavailable carrying a retry_after_s hint.
 //   * End-to-end deadlines: every query carries one (client-requested,
 //     clamped to `max_deadline_s`, defaulting to `default_deadline_s`).
 //     Expiry is enforced while queued AND while computing — a worker past
@@ -33,9 +34,11 @@ namespace fairem {
 //     deadline-out, flushes responses, then durably writes the final
 //     metrics snapshot to `metrics_path` and returns OK.
 //
-// The daemon loop is single-threaded (one poll() over the listener, every
-// connection, and every worker pipe); concurrency comes from the forked
-// workers, never from threads.
+// The daemon runs on the shared EventLoop (src/serve/event_loop.h): one
+// thread, one poll() over the listener, every connection, and every worker
+// pipe; concurrency comes from the forked workers, never from threads.
+// Concurrent misses on one cell key share one worker: later askers join
+// the queued or running compute, each with its own deadline and trace.
 
 struct ServeOptions {
   /// UNIX-domain socket path. A stale file from a dead daemon is replaced.
@@ -57,11 +60,9 @@ struct ServeOptions {
   /// RLIMIT_AS / RLIMIT_CPU for query workers (0 disables).
   int worker_max_rss_mb = 0;
   int worker_max_cpu_s = 0;
-  double poll_interval_s = 0.01;
   /// When non-empty, the final metrics snapshot is written here durably
   /// (temp + rename + fsync) as the last step of the drain.
   std::string metrics_path;
-  int listen_backlog = 64;
   /// Slow-query log (DESIGN.md §16): queries that take longer than
   /// slow_query_ms end-to-end get one wide-event JSON line (trace id, op,
   /// key, status, span breakdown) appended to slow_query_log, rate-limited.

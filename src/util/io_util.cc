@@ -5,18 +5,15 @@
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 
 namespace fairem {
 namespace {
-
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 Status ErrnoStatus(const char* op, int err) {
   std::string msg = std::string(op) + " failed: " + ::strerror(err);
@@ -26,7 +23,77 @@ Status ErrnoStatus(const char* op, int err) {
   return Status::IOError(std::move(msg));
 }
 
+/// Fills a sockaddr_un for `socket_path`; false when the path is empty or
+/// does not fit sun_path.
+bool UnixAddress(const std::string& socket_path, sockaddr_un* addr) {
+  std::memset(addr, 0, sizeof(*addr));
+  addr->sun_family = AF_UNIX;
+  if (socket_path.empty() || socket_path.size() >= sizeof(addr->sun_path)) {
+    return false;
+  }
+  std::memcpy(addr->sun_path, socket_path.c_str(), socket_path.size() + 1);
+  return true;
+}
+
 }  // namespace
+
+double MonotonicSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void SetNonblocking(int fd) {
+  int flags = ::fcntl(fd, F_GETFL, 0);
+  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+Result<int> ConnectUnix(const std::string& socket_path) {
+  sockaddr_un addr;
+  if (!UnixAddress(socket_path, &addr)) {
+    return Status::InvalidArgument("socket path empty or too long: '" +
+                                   socket_path + "'");
+  }
+  int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return ErrnoStatus("socket", errno);
+  // A UNIX-socket connect succeeds or fails at once; there is no handshake
+  // to stall an event loop on.
+  int rc;
+  do {
+    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  } while (rc != 0 && errno == EINTR);
+  if (rc != 0) {
+    int saved = errno;
+    ::close(fd);
+    if (saved == ENOENT || saved == ECONNREFUSED || saved == EAGAIN) {
+      return Status::Unavailable("'" + socket_path +
+                                 "' not up: " + ::strerror(saved));
+    }
+    return Status::IOError("connect('" + socket_path +
+                           "') failed: " + ::strerror(saved));
+  }
+  return fd;
+}
+
+Result<int> ListenUnix(const std::string& socket_path, int backlog) {
+  sockaddr_un addr;
+  if (!UnixAddress(socket_path, &addr)) {
+    return Status::InvalidArgument("socket path empty or too long: '" +
+                                   socket_path + "'");
+  }
+  int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return ErrnoStatus("socket", errno);
+  ::unlink(socket_path.c_str());
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, backlog) != 0) {
+    int saved = errno;
+    ::close(fd);
+    return Status::IOError("listen on '" + socket_path +
+                           "' failed: " + ::strerror(saved));
+  }
+  SetNonblocking(fd);
+  return fd;
+}
 
 Status ReadFull(int fd, void* buf, size_t n) {
   char* p = static_cast<char*>(buf);

@@ -10,7 +10,8 @@ namespace fairem {
 
 // EINTR/partial-IO-safe descriptor helpers, shared by the supervisor pipe
 // protocol, the telemetry sidecar reads, and the serve daemon's socket wire
-// (DESIGN.md §14). Raw ::read/::write call sites can short-read or
+// (DESIGN.md §14), plus the one UNIX-socket connect and listen helper that
+// the client, the daemon and the router share. Raw ::read/::write call sites can short-read or
 // short-write under signal pressure (SIGPROF from the profiler, SIGCHLD,
 // terminal signals); every loop here restarts on EINTR and resumes partial
 // transfers.
@@ -48,6 +49,25 @@ Status PollFd(int fd, short events, double timeout_s);
 /// sidecar and checkpoint loads share the signal-safe path. NotFound when
 /// the file does not exist.
 Result<std::string> ReadFileToString(const std::string& path);
+
+/// Steady-clock seconds (arbitrary epoch): the time base of every IO
+/// deadline here and of the serve/route event loop's timers.
+double MonotonicSeconds();
+
+/// Sets O_NONBLOCK on `fd`.
+void SetNonblocking(int fd);
+
+/// Connects a blocking UNIX-domain stream socket to `socket_path`. A peer
+/// that is not up (ENOENT: nothing bound yet or a removed socket;
+/// ECONNREFUSED: bound but not listening, or a dead process's stale file)
+/// is kUnavailable, the retryable class; a bad path is kInvalidArgument.
+Result<int> ConnectUnix(const std::string& socket_path);
+
+/// Binds and listens on `socket_path` and returns the nonblocking listening
+/// socket. A stale file at the path (a dead daemon's) is replaced: probing
+/// it first would race a live daemon anyway, so one instance per path is
+/// the policy.
+Result<int> ListenUnix(const std::string& socket_path, int backlog);
 
 /// Ignores SIGPIPE process-wide (idempotent). Daemon, client, and bench
 /// entry points call this so a peer hanging up mid-write surfaces as an

@@ -178,12 +178,10 @@ QueryRequest CellRequest(const std::string& matcher,
   return request;
 }
 
-/// One stats round trip against the router; returns the named counter or
-/// gauge, or -1 when the stats call or the lookup fails.
-double RouterStat(const std::string& router_socket,
-                  const std::string& section, const std::string& name) {
-  Result<ServeClient> client = ConnectPatient(router_socket);
-  if (!client.ok()) return -1.0;
+/// One stats round trip over `client`; returns the named counter or gauge,
+/// or -1 when the stats call or the lookup fails.
+double StatOver(ServeClient* client, const std::string& section,
+                const std::string& name) {
   QueryRequest request;
   request.op = "stats";
   Result<QueryResponse> r = client->Call(request);
@@ -196,6 +194,14 @@ double RouterStat(const std::string& router_socket,
   if (value == nullptr) return -1.0;
   Result<double> d = JsonAsDouble(*value, name);
   return d.ok() ? *d : -1.0;
+}
+
+/// One stats round trip against the router on a fresh connection.
+double RouterStat(const std::string& router_socket,
+                  const std::string& section, const std::string& name) {
+  Result<ServeClient> client = ConnectPatient(router_socket);
+  if (!client.ok()) return -1.0;
+  return StatOver(&*client, section, name);
 }
 
 /// Polls router stats until `pred(value)` holds; false on timeout.
@@ -344,6 +350,62 @@ TEST(RouteTest, RoutedAnswersMatchDirectDaemonAnswers) {
   int status = router.Stop();
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(WEXITSTATUS(a.Stop()), 0);
+  EXPECT_EQ(WEXITSTATUS(b.Stop()), 0);
+}
+
+TEST(RouteTest, WarmRoutedHitsReuseBackendStreams) {
+  IgnoreSigpipe();
+  const std::string backend_a = FreshSocketPath("route_reuse_a");
+  const std::string backend_b = FreshSocketPath("route_reuse_b");
+  const std::string front = FreshSocketPath("route_reuse_front");
+  BackendHandle a(SmallServeOptions(backend_a), "");
+  BackendHandle b(SmallServeOptions(backend_b), "");
+  RouterHandle router(SmallRouteOptions(front, {backend_a, backend_b}));
+
+  Result<ServeClient> client = ConnectPatient(front);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const char* matchers[] = {"DTMatcher", "NBMatcher", "SVMMatcher",
+                            "LogRegMatcher"};
+  for (const char* matcher : matchers) {
+    Result<QueryResponse> cold = client->Call(CellRequest(matcher));
+    ASSERT_TRUE(cold.ok()) << matcher << ": " << cold.status();
+    ASSERT_TRUE(cold->status.ok()) << matcher << ": " << cold->status;
+  }
+
+  // Each backend's stats come over one direct connection, opened before
+  // the first count, so it is counted in both counts alike.
+  std::vector<ServeClient> direct;
+  std::vector<double> accepted_before;
+  for (const std::string& path : {backend_a, backend_b}) {
+    Result<ServeClient> d = ConnectPatient(path);
+    ASSERT_TRUE(d.ok()) << d.status();
+    direct.push_back(std::move(*d));
+    accepted_before.push_back(StatOver(
+        &direct.back(), "counters", "fairem.serve.connections_accepted"));
+    ASSERT_GE(accepted_before.back(), 1.0);
+  }
+
+  // Warm routed hits travel on the router's persistent backend streams:
+  // no backend accepts a single new connection for them.
+  for (int round = 0; round < 5; ++round) {
+    for (const char* matcher : matchers) {
+      Result<QueryResponse> hit = client->Call(CellRequest(matcher));
+      ASSERT_TRUE(hit.ok()) << matcher << ": " << hit.status();
+      ASSERT_TRUE(hit->status.ok()) << matcher << ": " << hit->status;
+    }
+  }
+  for (size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(StatOver(&direct[i], "counters",
+                       "fairem.serve.connections_accepted"),
+              accepted_before[i])
+        << "backend " << i;
+  }
+
+  int status = router.Stop();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  direct.clear();
   EXPECT_EQ(WEXITSTATUS(a.Stop()), 0);
   EXPECT_EQ(WEXITSTATUS(b.Stop()), 0);
 }

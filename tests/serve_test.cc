@@ -31,6 +31,7 @@
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/util/io_util.h"
+#include "src/util/json.h"
 
 namespace fairem {
 namespace {
@@ -630,6 +631,70 @@ TEST(ServeTest, HealthProbeAnswersInline) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->payload, "pong");
   ::close(fd);
+}
+
+/// One counter from the daemon's stats snapshot; -1 when the call or the
+/// lookup fails.
+double ServeCounter(ServeClient* client, const std::string& name) {
+  QueryRequest stats;
+  stats.op = "stats";
+  Result<QueryResponse> r = client->Call(stats);
+  if (!r.ok() || !r->status.ok()) return -1.0;
+  Result<JsonValue> doc = JsonParse(r->payload);
+  if (!doc.ok()) return -1.0;
+  const JsonValue* counters = JsonFind(*doc, "counters");
+  const JsonValue* value =
+      counters == nullptr ? nullptr : JsonFind(*counters, name);
+  if (value == nullptr) return -1.0;
+  Result<double> d = JsonAsDouble(*value, name);
+  return d.ok() ? *d : -1.0;
+}
+
+TEST(ServeTest, ConcurrentColdMissesShareOneCompute) {
+  IgnoreSigpipe();
+  const std::string socket_path = FreshSocketPath("serve_coalesce");
+  DaemonHandle daemon(SmallServeOptions(socket_path), "");
+  Result<ServeClient> client = ConnectPatient(socket_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const double computed_before =
+      ServeCounter(&*client, "fairem.serve.cells_computed");
+  ASSERT_GE(computed_before, 0.0);
+
+  // Two connections ask for the same cold cell at the same time: both
+  // requests sit in the daemon's socket buffers before it runs again, so
+  // the second miss arrives while the first is queued or computing.
+  int fds[2] = {RawConnect(socket_path), RawConnect(socket_path)};
+  ASSERT_GE(fds[0], 0);
+  ASSERT_GE(fds[1], 0);
+  ASSERT_EQ(::kill(daemon.pid(), SIGSTOP), 0);
+  for (int i = 0; i < 2; ++i) {
+    QueryRequest request = CellRequest("DTMatcher");
+    request.id = 100 + static_cast<uint64_t>(i);
+    ASSERT_TRUE(WriteServeMessage(fds[i], kFrameQueryRequest,
+                                  SerializeQueryRequest(request), 30.0)
+                    .ok());
+  }
+  ASSERT_EQ(::kill(daemon.pid(), SIGCONT), 0);
+
+  // Each asker gets its own correlation id and the same bytes.
+  std::string payloads[2];
+  for (int i = 0; i < 2; ++i) {
+    Result<ServeMessage> reply = ReadServeMessage(fds[i], 60.0);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    Result<QueryResponse> response = ParseQueryResponse(reply->bytes);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->status.ok()) << response->status;
+    EXPECT_EQ(response->id, 100 + static_cast<uint64_t>(i));
+    payloads[i] = response->payload;
+    ::close(fds[i]);
+  }
+  EXPECT_EQ(payloads[0], payloads[1]);
+  EXPECT_EQ(ServeCounter(&*client, "fairem.serve.cells_computed"),
+            computed_before + 1.0);
+
+  int status = daemon.Stop();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // ---------------------------------------------------------------------------

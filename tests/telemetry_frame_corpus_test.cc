@@ -4,17 +4,24 @@
 // degrade to "the bytes are the payload") and the serve daemon's
 // FrameDecoder (strict by design — a corrupt socket stream is closed, but
 // must never crash, over-buffer, or desync onto a later client's frames).
+// Every Decoder* case also runs its bytes through the blocking
+// ReadServeMessage over a socketpair, the client's reader.
 // Every case asserts graceful degradation plus the
 // fairem.telemetry.unknown_frames accounting.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
 #include "src/serve/protocol.h"
+#include "src/util/io_util.h"
 
 namespace fairem {
 namespace {
@@ -117,6 +124,44 @@ Result<FrameDecoder::Next> FeedAll(FrameDecoder* decoder,
   return decoder->TryNext(out);
 }
 
+/// The blocking reader's view of a wire: the bytes go into one end of a
+/// socketpair, which is then shut for writing, and ReadServeMessage reads
+/// messages from the other end until it fails. `end` is that failure:
+/// kUnavailable at a clean EOF, kInvalidArgument on a corrupt stream.
+struct BlockingReads {
+  std::vector<ServeMessage> messages;
+  Status end;
+};
+
+BlockingReads ReadBlocking(const std::string& wire, bool dribble = false) {
+  BlockingReads out;
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+    out.end = Status::IOError("socketpair failed");
+    return out;
+  }
+  // A dribbling writer sends one byte per write, the slow-peer shape.
+  std::thread writer([&]() {
+    for (size_t i = 0; i < wire.size(); i += dribble ? 1 : wire.size()) {
+      const size_t n = dribble ? 1 : wire.size();
+      if (!WriteFull(sv[0], wire.data() + i, n).ok()) break;
+    }
+    ::shutdown(sv[0], SHUT_WR);
+  });
+  for (;;) {
+    Result<ServeMessage> message = ReadServeMessage(sv[1], 10.0);
+    if (!message.ok()) {
+      out.end = message.status();
+      break;
+    }
+    out.messages.push_back(std::move(*message));
+  }
+  writer.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  return out;
+}
+
 TEST(FrameCorpusTest, DecoderTruncatedLengthPrefixWaitsThenRejects) {
   FrameDecoder decoder;
   ServeMessage message;
@@ -129,6 +174,15 @@ TEST(FrameCorpusTest, DecoderTruncatedLengthPrefixWaitsThenRejects) {
   // the stream is unrecoverable.
   next = FeedAll(&decoder, "garbage!\n", &message);
   EXPECT_FALSE(next.ok());
+
+  // The blocking reader waits on a short header until EOF, and rejects the
+  // malformed completion.
+  BlockingReads cut = ReadBlocking(Magic() + "QREQ00000000");
+  EXPECT_TRUE(cut.messages.empty());
+  EXPECT_TRUE(cut.end.IsUnavailable()) << cut.end;
+  BlockingReads bad = ReadBlocking(Magic() + "QREQ00000000garbage!\n");
+  EXPECT_TRUE(bad.messages.empty());
+  EXPECT_TRUE(bad.end.IsInvalidArgument()) << bad.end;
 }
 
 TEST(FrameCorpusTest, DecoderBadMagicRejected) {
@@ -137,6 +191,10 @@ TEST(FrameCorpusTest, DecoderBadMagicRejected) {
   Result<FrameDecoder::Next> next =
       FeedAll(&decoder, "HTTP/1.1 200 OK\r\n\r\n", &message);
   EXPECT_FALSE(next.ok());
+
+  BlockingReads blocking = ReadBlocking("HTTP/1.1 200 OK\r\n\r\n");
+  EXPECT_TRUE(blocking.messages.empty());
+  EXPECT_TRUE(blocking.end.IsInvalidArgument()) << blocking.end;
 }
 
 TEST(FrameCorpusTest, DecoderOversizedDeclaredLengthRejected) {
@@ -147,6 +205,11 @@ TEST(FrameCorpusTest, DecoderOversizedDeclaredLengthRejected) {
       &decoder, Magic() + "QREQ0000010000000000\n", &message);
   EXPECT_FALSE(next.ok());
   EXPECT_LT(decoder.buffered(), 1024u);
+
+  BlockingReads blocking =
+      ReadBlocking(Magic() + "QREQ0000010000000000\n");
+  EXPECT_TRUE(blocking.messages.empty());
+  EXPECT_TRUE(blocking.end.IsInvalidArgument()) << blocking.end;
 }
 
 TEST(FrameCorpusTest, DecoderUnknownTypeFloodSkippedAndCounted) {
@@ -161,6 +224,13 @@ TEST(FrameCorpusTest, DecoderUnknownTypeFloodSkippedAndCounted) {
   EXPECT_EQ(*next, FrameDecoder::Next::kMessage);
   EXPECT_EQ(message.type, kFrameQueryRequest);
   EXPECT_EQ(UnknownFrames() - before, 32u);
+
+  const uint64_t blocking_before = UnknownFrames();
+  BlockingReads blocking = ReadBlocking(wire);
+  ASSERT_EQ(blocking.messages.size(), 1u) << blocking.end;
+  EXPECT_EQ(blocking.messages[0].type, kFrameQueryRequest);
+  EXPECT_EQ(UnknownFrames() - blocking_before, 32u);
+  EXPECT_TRUE(blocking.end.IsUnavailable()) << blocking.end;
 }
 
 TEST(FrameCorpusTest, DecoderZeroLengthFrame) {
@@ -174,6 +244,11 @@ TEST(FrameCorpusTest, DecoderZeroLengthFrame) {
   // The empty request body is the next layer's problem — and a structured
   // error there, not a crash.
   EXPECT_FALSE(ParseQueryRequest(message.bytes).ok());
+
+  BlockingReads blocking =
+      ReadBlocking(Magic() + Frame(kFrameQueryRequest, ""));
+  ASSERT_EQ(blocking.messages.size(), 1u) << blocking.end;
+  EXPECT_EQ(blocking.messages[0].bytes, "");
 }
 
 TEST(FrameCorpusTest, DecoderByteAtATimeDelivery) {
@@ -199,6 +274,11 @@ TEST(FrameCorpusTest, DecoderByteAtATimeDelivery) {
   Result<QueryRequest> parsed = ParseQueryRequest(message.bytes);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->id, 42u);
+
+  BlockingReads blocking = ReadBlocking(wire, /*dribble=*/true);
+  ASSERT_EQ(blocking.messages.size(), 1u) << blocking.end;
+  EXPECT_EQ(ParseQueryRequest(blocking.messages[0].bytes)->id, 42u);
+  EXPECT_TRUE(blocking.end.IsUnavailable()) << blocking.end;
 }
 
 TEST(FrameCorpusTest, DecoderBackToBackMessagesNoDesync) {
@@ -224,6 +304,14 @@ TEST(FrameCorpusTest, DecoderBackToBackMessagesNoDesync) {
   ASSERT_EQ(*next, FrameDecoder::Next::kMessage);
   EXPECT_EQ(ParseQueryRequest(message.bytes)->id, 2u);
   EXPECT_EQ(decoder.buffered(), 0u);
+
+  // The blocking reader takes exactly one message per call, so the second
+  // is still there for the next call.
+  BlockingReads blocking = ReadBlocking(wire);
+  ASSERT_EQ(blocking.messages.size(), 2u) << blocking.end;
+  EXPECT_EQ(ParseQueryRequest(blocking.messages[0].bytes)->id, 1u);
+  EXPECT_EQ(ParseQueryRequest(blocking.messages[1].bytes)->id, 2u);
+  EXPECT_TRUE(blocking.end.IsUnavailable()) << blocking.end;
 }
 
 // --- Router wire path (HLTH + forward compatibility) -----------------------
@@ -249,6 +337,13 @@ TEST(FrameCorpusTest, DecoderHealthFrameIsKnown) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_TRUE(parsed->probe);
   EXPECT_EQ(parsed->id, 9u);
+
+  const uint64_t blocking_before = UnknownFrames();
+  BlockingReads blocking = ReadBlocking(
+      EncodeServeMessage(kFrameHealth, SerializeHealthReport(probe)));
+  ASSERT_EQ(blocking.messages.size(), 1u) << blocking.end;
+  EXPECT_EQ(blocking.messages[0].type, std::string(kFrameHealth));
+  EXPECT_EQ(UnknownFrames(), blocking_before);
 }
 
 TEST(FrameCorpusTest, DecoderInterleavedHealthAndQueryNoDesync) {
@@ -285,6 +380,13 @@ TEST(FrameCorpusTest, DecoderInterleavedHealthAndQueryNoDesync) {
   EXPECT_EQ(message.type, std::string(kFrameHealth));
   EXPECT_DOUBLE_EQ(ParseHealthReport(message.bytes)->queue_depth, 3.0);
   EXPECT_EQ(decoder.buffered(), 0u);
+
+  BlockingReads blocking = ReadBlocking(wire);
+  ASSERT_EQ(blocking.messages.size(), 3u) << blocking.end;
+  EXPECT_EQ(blocking.messages[0].type, std::string(kFrameHealth));
+  EXPECT_EQ(ParseQueryRequest(blocking.messages[1].bytes)->id, 11u);
+  EXPECT_DOUBLE_EQ(ParseHealthReport(blocking.messages[2].bytes)->queue_depth,
+                   3.0);
 }
 
 TEST(FrameCorpusTest, QueryResponseToleratesUnknownJsonFields) {

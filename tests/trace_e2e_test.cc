@@ -244,11 +244,10 @@ TEST(TraceE2eTest, LiveProgressStreamsDuringTracedCompute) {
   const std::string socket = FreshPath("trace_prog", ".sock");
   ServeOptions options = SmallServeOptions(socket);
   // A cell compute is only a few milliseconds even at full scale, and a
-  // PROG frame needs a poll wake while the job is still in flight: tighten
-  // both the poll loop and the emission interval to 1ms so a ~5ms compute
-  // spans several emission slots.
+  // PROG frame needs a poll wake while the job is still in flight: the loop
+  // wakes for each query's next PROG timer, so a 1ms emission interval
+  // makes a ~5ms compute span several emission slots.
   options.warm.scale = 1.0;
-  options.poll_interval_s = 0.001;
   options.progress_interval_s = 0.001;
   ProcessHandle daemon(options, "");
 
